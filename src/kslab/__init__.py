@@ -8,7 +8,7 @@ harness with CLI.
 
 __version__ = "0.1.0"
 
-from .params import Grid, Parameters, SourceFunction, State, source_eval, validate
+from .params import Grid, Parameters, SourceFunction, State, validate
 from .thresholds import (
     CoefficientSet3D,
     CoefficientSet45D,
@@ -16,7 +16,6 @@ from .thresholds import (
     feasibility_floor_45d,
     gamma_rate,
     minimize_h,
-    mu0_3d,
     mu0_general,
     mu1,
     report,

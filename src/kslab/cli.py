@@ -11,6 +11,7 @@ from pathlib import Path
 from . import __version__
 from . import diagnostics as diag
 from . import harness
+from . import thresholds as th
 from .harness import EXIT_AUDIT, EXIT_CONFIG, EXIT_PASS
 
 __all__ = ["cli", "main"]
@@ -63,7 +64,7 @@ def _load_config(path: str) -> harness.ExperimentConfig:
 
 def _cmd_thresholds(args) -> int:
     cfg = _load_config(args.config)
-    report = harness._threshold_summary(cfg.params, args.convex or cfg.convex)
+    report = th.report(cfg.params, args.convex or cfg.convex)
     print(f"mu0: {report.mu0!r}")
     print(f"branch: {report.branch}")
     print(f"mu1: {report.mu1!r}")

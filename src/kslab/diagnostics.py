@@ -18,6 +18,7 @@ from .thresholds import CoefficientSet3D, CoefficientSet45D, ThresholdReport
 
 __all__ = [
     "lp_norm",
+    "face_gradients",
     "grad_magnitude_squared",
     "functional_z3",
     "functional_z45",
@@ -48,6 +49,13 @@ def lp_norm(fld: np.ndarray, p, grid: Grid) -> float:
     )
 
 
+def face_gradients(v: np.ndarray, grid: Grid) -> List[np.ndarray]:
+    """Difference quotients of v on the interior faces of each axis."""
+    return [
+        np.diff(v, axis=axis) / grid.spacing[axis] for axis in range(grid.dim)
+    ]
+
+
 def grad_magnitude_squared(v: np.ndarray, grid: Grid) -> np.ndarray:
     """Cell-centered |grad v|^2 from averaged face differences.
 
@@ -56,8 +64,7 @@ def grad_magnitude_squared(v: np.ndarray, grid: Grid) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     total = np.zeros_like(v)
-    for axis in range(grid.dim):
-        faces = np.diff(v, axis=axis) / grid.spacing[axis]
+    for axis, faces in enumerate(face_gradients(v, grid)):
         padded = np.zeros(
             tuple(c + 1 if k == axis else c for k, c in enumerate(v.shape))
         )
@@ -341,10 +348,9 @@ def convergence_audit(
     params: Parameters,
     threshold_report: Optional[ThresholdReport],
     dim: int,
-    window: Optional[Tuple[float, float]] = None,
-    tolerance: float = 0.0,
 ) -> AuditResult:
-    """Check fitted decay rates against the regime's guaranteed rates.
+    """Check fitted decay rates against the regime's guaranteed rates over
+    the second half of the run.
 
     kappa > 0: exponential rate of the equilibrium deviation must reach
     gamma (a conservative lower bound, so fits normally clear it widely).
@@ -353,8 +359,7 @@ def convergence_audit(
     min(beta, -kappa)/(2 (dim+1)) for v.
     """
     t = np.asarray(series.times, dtype=float)
-    if window is None:
-        window = (float(t[-1]) / 2.0, float(t[-1]))
+    window = (float(t[-1]) / 2.0, float(t[-1]))
     details: dict = {"window": window}
     if params.kappa > 0.0:
         if threshold_report is None or threshold_report.gamma is None:
@@ -365,7 +370,7 @@ def convergence_audit(
         details["gamma"] = threshold_report.gamma
         ok = (
             fit.model == "exponential"
-            and fit.rate >= threshold_report.gamma - tolerance
+            and fit.rate >= threshold_report.gamma
         )
         return AuditResult(regime="kappa>0", passed=ok, details=details)
     if params.kappa == 0.0:
@@ -375,9 +380,9 @@ def convergence_audit(
         details.update(fit_u=fit_u, fit_v=fit_v, target=target)
         ok = (
             fit_u.model == "algebraic"
-            and fit_u.rate >= target - tolerance
+            and fit_u.rate >= target
             and fit_v.model == "algebraic"
-            and fit_v.rate >= target - tolerance
+            and fit_v.rate >= target
         )
         return AuditResult(regime="kappa=0", passed=ok, details=details)
     target_u = -params.kappa / (dim + 1.0)
@@ -387,8 +392,8 @@ def convergence_audit(
     details.update(fit_u=fit_u, fit_v=fit_v, target_u=target_u, target_v=target_v)
     ok = (
         fit_u.model == "exponential"
-        and fit_u.rate >= target_u - tolerance
+        and fit_u.rate >= target_u
         and fit_v.model == "exponential"
-        and fit_v.rate >= target_v - tolerance
+        and fit_v.rate >= target_v
     )
     return AuditResult(regime="kappa<0", passed=ok, details=details)

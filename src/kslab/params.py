@@ -17,7 +17,6 @@ __all__ = [
     "Grid",
     "State",
     "validate",
-    "source_eval",
     "CERT_SAMPLE_GRID",
 ]
 
@@ -32,7 +31,6 @@ class Parameters:
     beta     signal degradation rate (> 0)
     kappa    linear birth rate (any sign)
     mu       quadratic damping rate (> 0)
-    a        source ceiling constant (>= 0)
     n        spatial dimension (>= 1)
     """
 
@@ -43,7 +41,6 @@ class Parameters:
     beta: float
     kappa: float
     mu: float
-    a: float = 0.0
     n: int = 3
 
 
@@ -56,8 +53,6 @@ def validate(params: Parameters) -> Parameters:
         value = getattr(params, name)
         if not np.isfinite(value) or value <= 0.0:
             raise ValueError(f"{name} must be positive, got {value}")
-    if not np.isfinite(params.a) or params.a < 0.0:
-        raise ValueError(f"a must be nonnegative, got {params.a}")
     if int(params.n) != params.n or params.n < 1:
         raise ValueError(f"n must be a positive integer, got {params.n}")
     for name in ("chi", "kappa"):
@@ -140,11 +135,11 @@ class SourceFunction:
             return np.zeros_like(np.asarray(s, dtype=float))
         return self.fn(s)
 
-    def check_certificate(self, samples: np.ndarray = None) -> None:
-        """Confirm f(0) >= 0 and f(s) <= a - mu_cert s^2 on the sample grid."""
+    def check_certificate(self) -> None:
+        """Confirm f(0) >= 0 and f(s) <= a_cert - mu_cert s^2 on CERT_SAMPLE_GRID."""
         if self.kind == "zero":
             return
-        s = CERT_SAMPLE_GRID if samples is None else np.asarray(samples, float)
+        s = CERT_SAMPLE_GRID
         fs = np.asarray(self(s), dtype=float)
         f0 = float(np.asarray(self(np.asarray([0.0]))).ravel()[0])
         if f0 < 0.0:
@@ -168,13 +163,6 @@ class SourceFunction:
         du = 1e-6 * (1.0 + np.abs(u))
         deriv = (self(u + du) - self(np.maximum(u - du, 0.0))) / (2.0 * du)
         return float(np.max(np.abs(deriv)))
-
-
-def source_eval(f: SourceFunction, s: float) -> float:
-    """Evaluate the source at a nonnegative density."""
-    if s < 0.0:
-        raise ValueError(f"source argument must be nonnegative, got {s}")
-    return float(f(s))
 
 
 @dataclass(frozen=True)
@@ -241,6 +229,8 @@ class State:
             raise ValueError(
                 f"field shape {self.u.shape} does not match grid {grid.cells}"
             )
+        if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))):
+            raise ValueError("u and v must be finite")
         if np.min(self.u) < 0.0 or np.min(self.v) < 0.0:
             raise ValueError("u and v must be nonnegative")
         return self

@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .diagnostics import DiagnosticsSeries
+from .diagnostics import DiagnosticsSeries, face_gradients
 from .params import Grid, Parameters, SourceFunction, State
 from .thresholds import CoefficientSet3D, CoefficientSet45D
 
@@ -55,7 +55,6 @@ class SolverConfig:
     scheme: str = "imex-adi"
     blowup_linf_threshold: float = 1e8
     snapshot_stride: int = 10
-    strang: bool = False
 
     def __post_init__(self):
         if self.scheme not in ("imex-adi", "fully-explicit"):
@@ -129,12 +128,6 @@ def initial_condition(
     raise ValueError(f"unknown initial-condition kind {kind!r}")
 
 
-def _face_gradients(v: np.ndarray, grid: Grid) -> List[np.ndarray]:
-    return [
-        np.diff(v, axis=axis) / grid.spacing[axis] for axis in range(grid.dim)
-    ]
-
-
 def compute_dt(
     state: State,
     params: Parameters,
@@ -145,26 +138,25 @@ def compute_dt(
 ) -> float:
     """CFL-limited step before the end-of-run cap.
 
-    Advection: dt <= cfl * h / (dim |chi| max|dv|) per axis (the 1/dim
-    keeps the summed upwind outflow of a cell below its content, which
-    preserves positivity).  Reaction: dt <= cfl / L with L a local
-    Lipschitz estimate covering both reactions.  Implicit diffusion adds
-    no restriction; the fully explicit scheme adds the usual h^2 bound.
+    Advection: dt <= cfl * h / (dim |chi| max|dv|) per axis, so the upwind
+    outflow through a cell's 2 dim faces removes at most 2 cfl of its
+    content.  Reaction: dt <= cfl / L with L a local Lipschitz estimate
+    covering both reactions, which removes at most cfl more.  The IMEX
+    update is therefore clamp-free for cfl <= 1/3; above that, a signal
+    with steep gradients on both sides of a cell can drive the cell
+    negative, and step clamps and counts it.  Implicit diffusion adds no
+    restriction; the fully explicit scheme adds the usual h^2 bound.
     """
     if face_grads is None:
-        face_grads = _face_gradients(state.v, grid)
+        face_grads = face_gradients(state.v, grid)
     dt = cfg.dt_initial
     abs_chi = abs(params.chi)
     if abs_chi > 0.0:
         for axis, g in enumerate(face_grads):
             gmax = float(np.max(np.abs(g))) if g.size else 0.0
-            if gmax > 0.0:
-                dt = min(
-                    dt,
-                    cfg.cfl_safety
-                    * grid.spacing[axis]
-                    / (grid.dim * abs_chi * gmax),
-                )
+            speed = grid.dim * abs_chi * gmax  # 0 on underflow, not only at rest
+            if speed > 0.0:
+                dt = min(dt, cfg.cfl_safety * grid.spacing[axis] / speed)
     lipschitz = max(source.lipschitz_bound(state.u), params.beta)
     if lipschitz > 0.0:
         dt = min(dt, cfg.cfl_safety / lipschitz)
@@ -272,7 +264,7 @@ def step(
 ) -> Tuple[State, StepInfo]:
     """Advance one adaptive step; the homogeneous equilibrium is an exact
     fixed point of the update."""
-    face_grads = _face_gradients(state.v, grid)
+    face_grads = face_gradients(state.v, grid)
     dt_cfl = compute_dt(state, params, source, cfg, grid, face_grads)
     if dt_cfl < cfg.dt_min:
         return state, StepInfo(dt=0.0, clamped=0, dt_collapse=True)
@@ -280,11 +272,6 @@ def step(
     dt = min(dt_cfl, remaining) if remaining > 0.0 else dt_cfl
 
     u, v = state.u, state.v
-    if cfg.strang and cfg.scheme == "imex-adi":
-        u = _implicit_diffusion(u, params.d1, 0.5 * dt, grid)
-        v = _implicit_diffusion(v, params.d2, 0.5 * dt, grid)
-        face_grads = _face_gradients(v, grid)
-
     du = source(u)
     dv = -params.beta * v + params.alpha * u
     if params.chi != 0.0:
@@ -303,9 +290,8 @@ def step(
     v = v + dt * dv
 
     if cfg.scheme == "imex-adi":
-        tau = 0.5 * dt if cfg.strang else dt
-        u = _implicit_diffusion(u, params.d1, tau, grid)
-        v = _implicit_diffusion(v, params.d2, tau, grid)
+        u = _implicit_diffusion(u, params.d1, dt, grid)
+        v = _implicit_diffusion(v, params.d2, dt, grid)
 
     clamped = int(np.count_nonzero(u < -CLAMP_TOLERANCE)) + int(
         np.count_nonzero(v < -CLAMP_TOLERANCE)
@@ -327,13 +313,10 @@ def run(
     coeffs45: Optional[CoefficientSet45D] = None,
     forcing_u: Optional[ForcingFn] = None,
     forcing_v: Optional[ForcingFn] = None,
-    keep_states: str = "ends",
 ) -> Trajectory:
     """March to t_end, blow-up, or dt collapse, sampling diagnostics every
-    snapshot_stride steps.
-
-    keep_states: "ends" stores the initial and final states (memory bound),
-    "samples" additionally stores every diagnosed state.
+    snapshot_stride steps.  The trajectory keeps the initial and final
+    states only, so memory does not grow with the run length.
     """
     state = state0.check(grid)
     series = DiagnosticsSeries()
@@ -344,12 +327,6 @@ def run(
     outcome = OUTCOME_COMPLETED
     steps = 0
     end_tol = 1e-9 * max(1.0, cfg.t_end)
-
-    def sample(st):
-        series.sample(st, grid, params, clamp_total, coeffs3, coeffs45)
-        if keep_states == "samples":
-            states.append(st)
-
     if float(np.max(state.u)) > cfg.blowup_linf_threshold:
         return Trajectory(
             states=states, diagnostics=series, outcome=OUTCOME_BLOWUP,
@@ -365,17 +342,16 @@ def run(
         steps += 1
         clamp_total += info.clamped
         if steps % cfg.snapshot_stride == 0 and state.t < cfg.t_end - end_tol:
-            sample(state)
+            series.sample(state, grid, params, clamp_total, coeffs3, coeffs45)
         if float(np.max(state.u)) > cfg.blowup_linf_threshold:
-            sample(state)
+            series.sample(state, grid, params, clamp_total, coeffs3, coeffs45)
             outcome = OUTCOME_BLOWUP
             break
     if outcome == OUTCOME_COMPLETED:
         if state.t >= cfg.t_end - end_tol:
             state = State(u=state.u, v=state.v, t=cfg.t_end)
-        sample(state)
-    if keep_states != "samples":
-        states.append(state)
+        series.sample(state, grid, params, clamp_total, coeffs3, coeffs45)
+    states.append(state)
     return Trajectory(
         states=states, diagnostics=series, outcome=outcome,
         steps=steps, clamp_total=clamp_total,
@@ -438,13 +414,12 @@ def refinement_study(
     source: SourceFunction,
     grids: Sequence[Grid],
     t_end: float = 0.25,
-    dt_factor: float = 0.2,
 ) -> RefinementResult:
     """Measure the spatial convergence order on nested grids.
 
-    The time step is tied to h^2 so the first-order-in-time splitting error
-    refines at the same rate as the second-order space error and does not
-    pollute the observed order.
+    The time step is tied to h^2 (dt = 0.2 h^2) so the first-order-in-time
+    splitting error refines at the same rate as the second-order space
+    error and does not pollute the observed order.
     """
     if len(grids) < 3:
         raise ValueError("need at least 3 nested grids")
@@ -463,7 +438,7 @@ def refinement_study(
         state = State(u=exact_u(mesh, 0.0), v=exact_u(mesh, 0.0), t=0.0)
         h = min(grid.spacing)
         cfg = SolverConfig(
-            dt_initial=dt_factor * h * h,
+            dt_initial=0.2 * h * h,
             dt_min=1e-14,
             t_end=t_end,
             cfl_safety=0.5,

@@ -10,7 +10,7 @@ that make the coupled Gronwall inequality systems feasible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
 
@@ -21,7 +21,6 @@ from .params import Parameters, validate
 __all__ = [
     "BRANCH_CONVEX",
     "BRANCH_GENERAL",
-    "mu0_3d",
     "mu0_general",
     "mu1",
     "gamma_rate",
@@ -61,22 +60,6 @@ def _nonconvex_base(n: int, d1: float, d2: float) -> float:
     return n / (math.sqrt(2.0 * n + 4.0) - 2.0) * (1.0 / d1 + 2.0 / d2)
 
 
-def mu0_3d(params: Parameters, convex: bool = False) -> Tuple[float, str]:
-    """Damping threshold in 3-D; returns (value, branch).
-
-    The clean branch (n/(4 d1)) alpha chi applies only for equal diffusion,
-    attractive chemotaxis, and a convex domain; otherwise the general branch
-    3/(sqrt(10)-2) (1/d1 + 2/d2) alpha |chi| is used.
-    """
-    validate(params)
-    if params.n != 3:
-        raise ValueError(f"mu0_3d requires n = 3, got n = {params.n}")
-    if convex and params.d1 == params.d2 and params.chi > 0.0:
-        return 3.0 / (4.0 * params.d1) * params.alpha * params.chi, BRANCH_CONVEX
-    value = _nonconvex_base(3, params.d1, params.d2) * params.alpha * abs(params.chi)
-    return value, BRANCH_GENERAL
-
-
 def h_objective(n, d1, d2, eps, eta):
     """Objective of the 4/5-D threshold minimization over (eps, eta).
 
@@ -106,58 +89,66 @@ class HMinimum:
     eta: float
 
 
-@lru_cache(maxsize=256)
-def _minimize_h_cached(n: int, d1: float, d2: float) -> HMinimum:
-    # Coarse 64x64 logarithmic grid, then compass pattern search from the
-    # best cell (shrink factor 1/2, 60 shrink rounds).  The objective is
-    # smooth, coercive at the boundary, and empirically unimodal.
+def _grid_compass_min(f, d1: float, d2: float) -> Tuple[float, float, float]:
+    """Minimize f(eps, eta) over (0, d1) x (0, d2); returns (value, eps, eta).
+
+    Coarse 64x64 logarithmic grid (f must accept arrays), then compass
+    pattern search from the best cell (shrink factor 1/2, 40 shrink
+    rounds).  The objectives searched here are smooth and empirically
+    unimodal.
+    """
     grid_e = d1 * np.geomspace(1e-3, 0.999, 64)
     grid_g = d2 * np.geomspace(1e-3, 0.999, 64)
     ee, gg = np.meshgrid(grid_e, grid_g, indexing="ij")
-    vals = h_objective(n, d1, d2, ee, gg)
+    vals = f(ee, gg)
     k = int(np.argmin(vals))
-    x, y = float(ee.flat[k]), float(gg.flat[k])
-    fx = float(vals.flat[k])
-
+    x, y, fx = float(ee.flat[k]), float(gg.flat[k]), float(vals.flat[k])
     sx, sy = d1 / 8.0, d2 / 8.0
-    for _ in range(60):
+    for _ in range(40):
         moved = True
         polls = 0
         while moved and polls < 200:
             moved = False
             polls += 1
             for cx, cy in ((x + sx, y), (x - sx, y), (x, y + sy), (x, y - sy)):
-                fc = h_objective(n, d1, d2, cx, cy)
+                fc = float(f(cx, cy))
                 if fc < fx:
-                    x, y, fx = cx, cy, float(fc)
+                    x, y, fx = cx, cy, fc
                     moved = True
         sx *= 0.5
         sy *= 0.5
-        if sx < 1e-15 * d1 and sy < 1e-15 * d2:
-            break
-    return HMinimum(value=fx, eps=x, eta=y)
+    return fx, x, y
 
 
+@lru_cache(maxsize=256)
 def minimize_h(n: int, d1: float, d2: float) -> HMinimum:
     """Global minimum of the threshold objective over (0, d1) x (0, d2)."""
     if n not in (4, 5):
         raise ValueError(f"h(n, d1, d2) is defined for n in {{4, 5}}, got {n}")
     if d1 <= 0.0 or d2 <= 0.0:
         raise ValueError("d1 and d2 must be positive")
-    return _minimize_h_cached(int(n), float(d1), float(d2))
+    value, eps, eta = _grid_compass_min(
+        lambda e, g: h_objective(n, d1, d2, e, g), d1, d2
+    )
+    return HMinimum(value=value, eps=eps, eta=eta)
 
 
 def mu0_general(params: Parameters, convex: bool = False) -> Tuple[float, str]:
-    """Damping threshold for n in {3, 4, 5}; returns (value, branch)."""
+    """Damping threshold for n in {3, 4, 5}; returns (value, branch).
+
+    The clean branch (n/(4 d1)) alpha chi applies only for equal diffusion,
+    attractive chemotaxis, and a convex domain.  Otherwise the general
+    branch is n/(sqrt(2n+4)-2) (1/d1 + 2/d2) alpha |chi|, raised for
+    n = 4, 5 to h(n, d1, d2)/3 alpha |chi| when that is larger.
+    """
     validate(params)
     _require_dimension(params.n)
-    if params.n == 3:
-        return mu0_3d(params, convex)
     if convex and params.d1 == params.d2 and params.chi > 0.0:
         value = params.n / (4.0 * params.d1) * params.alpha * params.chi
         return value, BRANCH_CONVEX
-    hmin = minimize_h(params.n, params.d1, params.d2)
-    base = max(hmin.value / 3.0, _nonconvex_base(params.n, params.d1, params.d2))
+    base = _nonconvex_base(params.n, params.d1, params.d2)
+    if params.n > 3:
+        base = max(minimize_h(params.n, params.d1, params.d2).value / 3.0, base)
     return base * params.alpha * abs(params.chi), BRANCH_GENERAL
 
 
@@ -395,7 +386,7 @@ def coefficient_recipe_3d(params: Parameters, mu: float) -> CoefficientSet3D:
 
 def select_coefficients_3d(params: Parameters, mu: float) -> CoefficientSet3D:
     """Select a coefficient set that verifies the 3-D system for mu > mu0."""
-    threshold, _ = mu0_3d(params, convex=False)
+    threshold, _ = mu0_general(params, convex=False)
     if mu <= threshold:
         raise ValueError(
             f"coefficient selection requires mu > mu0 = {threshold}, got {mu}"
@@ -609,29 +600,11 @@ def _relaxed_overlap_45d(params, mu, eps, eta):
 
 
 def _max_relaxed_overlap_45d(params, mu):
-    """Maximize the relaxed overlap over (eps, eta); grid plus compass."""
-    d1, d2 = params.d1, params.d2
-    grid_e = d1 * np.geomspace(1e-3, 0.999, 64)
-    grid_g = d2 * np.geomspace(1e-3, 0.999, 64)
-    ee, gg = np.meshgrid(grid_e, grid_g, indexing="ij")
-    vals = _relaxed_overlap_45d(params, mu, ee, gg)
-    k = int(np.argmax(vals))
-    x, y, fx = float(ee.flat[k]), float(gg.flat[k]), float(vals.flat[k])
-    sx, sy = d1 / 8.0, d2 / 8.0
-    for _ in range(40):
-        moved = True
-        polls = 0
-        while moved and polls < 200:
-            moved = False
-            polls += 1
-            for cx, cy in ((x + sx, y), (x - sx, y), (x, y + sy), (x, y - sy)):
-                fc = float(_relaxed_overlap_45d(params, mu, cx, cy))
-                if fc > fx:
-                    x, y, fx = cx, cy, fc
-                    moved = True
-        sx *= 0.5
-        sy *= 0.5
-    return fx, x, y
+    """Maximize the relaxed overlap over (eps, eta); returns (value, eps, eta)."""
+    value, eps, eta = _grid_compass_min(
+        lambda e, g: -_relaxed_overlap_45d(params, mu, e, g), params.d1, params.d2
+    )
+    return -value, eps, eta
 
 
 def feasibility_floor_45d(params: Parameters) -> float:
@@ -723,28 +696,27 @@ def select_coefficients_45d(params: Parameters, mu: float) -> CoefficientSet45D:
 
 
 @dataclass(frozen=True)
-class Applicability:
-    n: int
-    convex_requested: bool
-    branch: str
-
-
-@dataclass(frozen=True)
 class ThresholdReport:
     mu0: float
     branch: str
     mu1: float
     gamma: Optional[float]
     epsilon0: Optional[float]
-    applicability: Applicability
     coeffs3: Optional[CoefficientSet3D] = None
     coeffs45: Optional[CoefficientSet45D] = None
 
 
 def report(params: Parameters, convex: bool = False) -> ThresholdReport:
-    """Aggregate thresholds, rate, and (best effort) coefficient sets."""
+    """Aggregate thresholds, rate, and (best effort) coefficient sets.
+
+    mu0 is nan, on the general branch, outside n in {3, 4, 5}, and no
+    coefficient set is selected there.
+    """
     validate(params)
-    mu0_value, branch = mu0_general(params, convex)
+    if params.n in (3, 4, 5):
+        mu0_value, branch = mu0_general(params, convex)
+    else:
+        mu0_value, branch = math.nan, BRANCH_GENERAL
     mu1_value = mu1(params)
     gamma = eps0 = None
     if params.kappa > 0.0 and params.chi != 0.0 and params.mu > mu1_value:
@@ -764,9 +736,6 @@ def report(params: Parameters, convex: bool = False) -> ThresholdReport:
         mu1=mu1_value,
         gamma=gamma,
         epsilon0=eps0,
-        applicability=Applicability(
-            n=params.n, convex_requested=convex, branch=branch
-        ),
         coeffs3=coeffs3,
         coeffs45=coeffs45,
     )

@@ -1,0 +1,50 @@
+"""Public names resolve, and removed config keys fail by name."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import kslab
+from kslab.harness import ConfigError, parse_config
+
+from test_harness import minimal_cfg
+
+MODULES = ("params", "thresholds", "solver", "diagnostics", "harness", "cli")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    module = importlib.import_module(f"kslab.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_package_imports_resolve():
+    tree = ast.parse(Path(kslab.__file__).read_text())
+    names = [
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert names
+    assert [n for n in names if not hasattr(kslab, n)] == []
+
+
+@pytest.mark.parametrize(
+    "section,key,value", [("params", "a", "0.0"), ("solver", "strang", "true")]
+)
+def test_removed_config_key_rejected(tmp_path, section, key, value):
+    text = minimal_cfg(tmp_path).replace(
+        f"[{section}]\n", f"[{section}]\n{key} = {value}\n", 1
+    )
+    with pytest.raises(ConfigError, match=rf"unknown key '{key}' in section \[{section}\]"):
+        parse_config(text)
+
+
+def test_removed_sweep_axis_rejected(tmp_path):
+    text = minimal_cfg(tmp_path, name="small-diffusion-sweep")
+    text += "\nsweep_axis = a\nsweep_values = 0 1\n"
+    with pytest.raises(ConfigError, match="sweep axis 'a' is not a parameter field"):
+        parse_config(text)

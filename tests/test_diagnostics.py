@@ -20,7 +20,6 @@ from kslab.diagnostics import (
 )
 from kslab.params import Grid, Parameters, SourceFunction, State
 from kslab.thresholds import (
-    Applicability,
     CoefficientSet3D,
     CoefficientSet45D,
     ThresholdReport,
@@ -28,7 +27,7 @@ from kslab.thresholds import (
 
 
 def unit_params(**kw):
-    base = dict(d1=1, d2=1, chi=1, alpha=1, beta=1, kappa=1, mu=8, a=0, n=3)
+    base = dict(d1=1, d2=1, chi=1, alpha=1, beta=1, kappa=1, mu=8, n=3)
     base.update(kw)
     return Parameters(**base)
 
@@ -261,8 +260,6 @@ class TestSeriesAndAudit:
     def _report(self, params, gamma=None):
         return ThresholdReport(
             mu0=1.0, branch="general", mu1=0.0, gamma=gamma, epsilon0=None,
-            applicability=Applicability(n=params.n, convex_requested=False,
-                                        branch="general"),
         )
 
     def _series_from(self, t, **columns):

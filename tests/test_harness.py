@@ -12,6 +12,7 @@ from kslab.harness import (
     EXIT_PASS,
     ConfigError,
     SweepSpec,
+    _sweep_workers,
     parse_config,
     run_scenario,
     run_sweep,
@@ -56,6 +57,20 @@ def minimal_cfg(tmp_path, **edits):
     for key, value in edits.items():
         text = _replace_key(text, key, value)
     return text
+
+
+def one_d_cfg(tmp_path, **edits):
+    """MINIMAL on a 1-D grid of 16 cells (n = dim = 1)."""
+    return minimal_cfg(tmp_path, dim="1", n="1", **edits).replace(
+        "cells = 8 8 8", "cells = 16"
+    ).replace("extents = 1 1 1", "extents = 1")
+
+
+def _set_key(text, section, key, value):
+    try:
+        return _replace_key(text, key, value)
+    except KeyError:
+        return text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n", 1)
 
 
 def _replace_key(text, key, value):
@@ -253,6 +268,20 @@ class TestSweep:
         rows = run_sweep(SweepSpec(axis="d1", values=(1.0, 0.5), base=base))
         assert all(r["outcome"] == "blowup-detected" for r in rows)
 
+    def test_workers_default_to_serial(self):
+        assert _sweep_workers(None, 4, 8) == 1
+
+    def test_workers_capped_at_cpus_and_points(self):
+        assert _sweep_workers("2", 4, 8) == 2
+        assert _sweep_workers("64", 3, 8) == 3
+        assert _sweep_workers("64", 100, 8) == 8
+        assert _sweep_workers(" 1 ", 4, 8) == 1
+
+    @pytest.mark.parametrize("setting", ["two", "", "0", "-1", "1.5", "\u00b2"])
+    def test_bad_worker_setting_is_config_error(self, setting):
+        with pytest.raises(ConfigError, match="KSLAB_WORKERS"):
+            _sweep_workers(setting, 4, 8)
+
     def test_worker_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KSLAB_WORKERS", "2")
         base = self._base(tmp_path)
@@ -315,6 +344,36 @@ class TestCli:
         path = tmp_path / "bad.cfg"
         path.write_text(minimal_cfg(tmp_path, d1="-1"))
         assert cli(["simulate", "--config", str(path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("ic", "base_u", "nan"),
+            ("solver", "t_end", "inf"),
+            ("solver", "blowup_linf_threshold", "inf"),
+        ],
+    )
+    def test_nonfinite_number_exit_3(self, tmp_path, capsys, section, key, value):
+        path = tmp_path / "cfg.cfg"
+        path.write_text(_set_key(one_d_cfg(tmp_path), section, key, value))
+        assert cli(["simulate", "--config", str(path)]) == EXIT_CONFIG
+        assert f"[{section}] {key}: expected a finite number" in capsys.readouterr().err
+
+    def test_convex_comparison_outside_supported_dimensions_exit_3(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "cfg.cfg"
+        path.write_text(one_d_cfg(tmp_path, name="convex-comparison"))
+        assert cli(["simulate", "--config", str(path)]) == EXIT_CONFIG
+        assert "convex-comparison requires n in {3, 4, 5}" in capsys.readouterr().err
+
+    def test_bad_worker_setting_exit_3(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("KSLAB_WORKERS", "two")
+        path = tmp_path / "cfg.cfg"
+        path.write_text(one_d_cfg(tmp_path))
+        assert cli([
+            "sweep", "--config", str(path), "--axis", "d1", "--values", "1,0.5",
+        ]) == EXIT_CONFIG
 
     def test_sweep_cli(self, tmp_path, capsys):
         path = tmp_path / "cfg.cfg"

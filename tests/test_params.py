@@ -9,13 +9,12 @@ from kslab.params import (
     Parameters,
     SourceFunction,
     State,
-    source_eval,
     validate,
 )
 
 
 def make_params(**kw):
-    base = dict(d1=1, d2=1, chi=1, alpha=1, beta=1, kappa=1, mu=8, a=0, n=3)
+    base = dict(d1=1, d2=1, chi=1, alpha=1, beta=1, kappa=1, mu=8, n=3)
     base.update(kw)
     return Parameters(**base)
 
@@ -33,7 +32,6 @@ class TestValidate:
             ("mu", -1.0, "mu must be positive"),
             ("alpha", 0.0, "alpha must be positive"),
             ("beta", 0.0, "beta must be positive"),
-            ("a", -0.5, "a must be nonnegative"),
             ("n", 0, "n must be a positive integer"),
         ],
     )
@@ -60,21 +58,16 @@ class TestValidate:
 class TestSource:
     def test_logistic_at_carrying_capacity(self):
         f = SourceFunction.standard_logistic(kappa=1.0, mu=1.0)
-        assert source_eval(f, 1.0) == 0.0
+        assert f(1.0) == 0.0
 
     def test_logistic_at_zero(self):
         f = SourceFunction.standard_logistic(kappa=2.0, mu=1.0)
-        assert source_eval(f, 0.0) == 0.0
+        assert f(0.0) == 0.0
 
     def test_logistic_value(self):
         # kappa s - mu s^2 at (1, 2, 3): 3 - 18
         f = SourceFunction.standard_logistic(kappa=1.0, mu=2.0)
-        assert source_eval(f, 3.0) == -15.0
-
-    def test_negative_argument_rejected(self):
-        f = SourceFunction.standard_logistic(1.0, 1.0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            source_eval(f, -0.1)
+        assert f(3.0) == -15.0
 
     @given(kappa=st.floats(-5, 5), mu=st.floats(0.05, 20))
     @settings(max_examples=100, deadline=None)
@@ -108,11 +101,11 @@ class TestSource:
         f = SourceFunction.custom(
             lambda s: 1.0 - 0.5 * s * s, a_cert=1.0, mu_cert=0.5
         )
-        assert source_eval(f, 2.0) == -1.0
+        assert f(2.0) == -1.0
 
     def test_zero_source(self):
         f = SourceFunction.zero()
-        assert source_eval(f, 5.0) == 0.0
+        assert f(5.0) == 0.0
         assert f.lipschitz_bound(np.ones(3)) == 0.0
 
 
@@ -146,6 +139,15 @@ class TestState:
         st_ = State(u=np.array([1.0, -0.1, 1, 1]), v=np.zeros(4), t=0.0)
         with pytest.raises(ValueError, match="nonnegative"):
             st_.check(g)
+
+    @pytest.mark.parametrize("field", ["u", "v"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected_by_check(self, field, bad):
+        g = Grid(dim=1, extents=(1.0,), cells=(4,))
+        fields = {"u": np.ones(4), "v": np.ones(4)}
+        fields[field][2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            State(t=0.0, **fields).check(g)
 
     def test_check_passes_and_shapes(self):
         g = Grid(dim=2, extents=(1.0, 1.0), cells=(4, 4))

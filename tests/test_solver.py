@@ -1,7 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+from hypothesis.extra.numpy import arrays
 
 from kslab.params import Grid, Parameters, SourceFunction, State
 from kslab.solver import (
@@ -21,7 +25,7 @@ from kslab.solver import (
 
 
 def unit_params(**kw):
-    base = dict(d1=1, d2=1, chi=1, alpha=1, beta=1, kappa=1, mu=8, a=0, n=3)
+    base = dict(d1=1, d2=1, chi=1, alpha=1, beta=1, kappa=1, mu=8, n=3)
     base.update(kw)
     return Parameters(**base)
 
@@ -119,6 +123,88 @@ class TestStepExactness:
         assert traj.diagnostics.mass_u[-1] == pytest.approx(1.0 / 3.0, abs=2e-4)
 
 
+@hs.composite
+def small_problems(draw):
+    """A 1-D or 2-D grid of 4 to 8 cells per axis, admissible parameters,
+    and nonnegative fields (u, v) on it."""
+    dim = draw(hs.sampled_from([1, 2]))
+    cells = tuple(draw(hs.integers(4, 8)) for _ in range(dim))
+    positive = hs.floats(0.01, 3.0)
+    params = Parameters(
+        d1=draw(positive), d2=draw(positive), chi=draw(hs.floats(-5.0, 5.0)),
+        alpha=draw(positive), beta=draw(positive),
+        kappa=draw(hs.floats(-3.0, 3.0)), mu=draw(positive), n=dim,
+    )
+    fields = arrays(float, cells, elements=hs.floats(0.0, 10.0))
+    grid = Grid(dim=dim, extents=(1.0,) * dim, cells=cells)
+    return grid, params, draw(fields), draw(fields)
+
+
+# dt_initial far above every CFL limit, so compute_dt sets each step
+CFL_LIMITED = dict(dt_initial=1.0, t_end=10.0)
+
+
+class TestStepProperties:
+    @given(problem=small_problems(), cfl=hs.floats(0.01, 1.0 / 3.0))
+    @settings(max_examples=100, deadline=None)
+    def test_no_clamps_under_cfl_bound(self, problem, cfl):
+        # Upwind outflow through a cell's 2 dim faces removes at most 2 cfl
+        # of its content and the explicit reaction at most cfl, so for
+        # cfl <= 1/3 the explicit stage stays nonnegative; the implicit
+        # diffusion solve preserves sign.
+        grid, params, u, v = problem
+        cfg = SolverConfig(cfl_safety=cfl, **CFL_LIMITED)
+        new, info = step(State(u=u, v=v, t=0.0), params, logistic(params), cfg, grid)
+        assert info.clamped == 0
+        assert np.min(new.u) >= 0.0 and np.min(new.v) >= 0.0
+
+    @given(
+        problem=small_problems(),
+        chi=hs.one_of(hs.floats(-5.0, -0.1), hs.floats(0.1, 5.0)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_mass_conserved_with_chemotaxis_and_no_source(self, problem, chi):
+        grid, params, u, v = problem
+        params = dataclasses.replace(params, chi=chi)
+        cfg = SolverConfig(**CFL_LIMITED)
+        new, info = step(
+            State(u=u, v=v, t=0.0), params, SourceFunction.zero(), cfg, grid
+        )
+        assert info.clamped == 0
+        mass = float(np.sum(u))
+        assert abs(float(np.sum(new.u)) - mass) <= 1e-12 * mass + 1e-300
+
+    @given(problem=small_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_homogeneous_state_is_fixed_point(self, problem):
+        grid, params, _, _ = problem
+        ue = max(params.kappa, 0.0) / params.mu
+        ve = params.alpha * ue / params.beta
+        state = State(u=np.full(grid.cells, ue), v=np.full(grid.cells, ve), t=0.0)
+        cfg = SolverConfig(**CFL_LIMITED)
+        new, info = step(state, params, logistic(params), cfg, grid)
+        assert info.clamped == 0
+        assert np.max(np.abs(new.u - ue)) <= 1e-12 * ue
+        assert np.max(np.abs(new.v - ve)) <= 1e-12 * ve
+
+    @given(problem=small_problems(), axis=hs.integers(0, 1))
+    @settings(max_examples=100, deadline=None)
+    def test_mirrored_state_gives_mirrored_solution(self, problem, axis):
+        grid, params, u, v = problem
+        axis %= grid.dim
+        cfg = SolverConfig(**CFL_LIMITED)
+        src = logistic(params)
+        a, info_a = step(State(u=u, v=v, t=0.0), params, src, cfg, grid)
+        mirrored = State(u=np.flip(u, axis), v=np.flip(v, axis), t=0.0)
+        b, info_b = step(mirrored, params, src, cfg, grid)
+        assert info_b.dt == info_a.dt
+        for got, want in ((b.u, a.u), (b.v, a.v)):
+            np.testing.assert_allclose(
+                got, np.flip(want, axis), rtol=1e-12,
+                atol=1e-12 * (1.0 + float(np.max(want))),
+            )
+
+
 class TestAdaptivity:
     def test_dt_monotone_in_chi(self):
         g = Grid(dim=1, extents=(1.0,), cells=(32,))
@@ -130,6 +216,14 @@ class TestAdaptivity:
             for chi in (0.5, 1.0, 2.0, 4.0, 8.0)
         ]
         assert all(a >= b for a, b in zip(dts, dts[1:]))
+
+    def test_subnormal_chi_limits_nothing(self):
+        # dim |chi| max|dv| underflows to 0: no advection limit, no crash
+        g = Grid(dim=1, extents=(1.0,), cells=(4,))
+        st = State(u=np.zeros(4), v=np.array([0.125, 0.0, 0.0, 0.0]), t=0.0)
+        p = unit_params(chi=5e-324, kappa=0.0, mu=1.0, n=1)
+        cfg = SolverConfig(dt_initial=1.0, t_end=10.0)
+        assert compute_dt(st, p, logistic(p), cfg, g) == 0.5
 
     def test_dt_collapse_outcome(self):
         # enormous reaction stiffness forces dt below dt_min

@@ -16,7 +16,6 @@ from kslab.thresholds import (
     gamma_rate,
     h_objective,
     minimize_h,
-    mu0_3d,
     mu0_general,
     mu1,
     report,
@@ -33,42 +32,40 @@ MU0_UNIT_3D = 9.0 / (SQRT10 - 2.0)  # 7.743416490252569
 
 
 def make_params(**kw):
-    base = dict(d1=1, d2=1, chi=1, alpha=1, beta=1, kappa=1, mu=8, a=0, n=3)
+    base = dict(d1=1, d2=1, chi=1, alpha=1, beta=1, kappa=1, mu=8, n=3)
     base.update(kw)
     return Parameters(**base)
 
 
 class TestMu0:
     def test_unit_nonconvex_3d(self):
-        value, branch = mu0_3d(make_params(), convex=False)
+        value, branch = mu0_general(make_params(), convex=False)
         assert branch == BRANCH_GENERAL
         assert value == pytest.approx(7.743416, abs=1e-6)
         assert value == pytest.approx(MU0_UNIT_3D, rel=1e-14)
 
     def test_unit_convex_3d(self):
-        value, branch = mu0_3d(make_params(), convex=True)
+        value, branch = mu0_general(make_params(), convex=True)
         assert branch == BRANCH_CONVEX
         assert value == 0.75
 
     def test_convex_branch_needs_equal_diffusion_and_attraction(self):
-        value, branch = mu0_3d(make_params(d2=2.0), convex=True)
+        value, branch = mu0_general(make_params(d2=2.0), convex=True)
         assert branch == BRANCH_GENERAL
-        value, branch = mu0_3d(make_params(chi=-1.0), convex=True)
+        value, branch = mu0_general(make_params(chi=-1.0), convex=True)
         assert branch == BRANCH_GENERAL
 
     def test_zero_chi(self):
-        assert mu0_3d(make_params(chi=0.0), convex=False)[0] == 0.0
-        assert mu0_3d(make_params(chi=0.0), convex=True)[0] == 0.0
+        assert mu0_general(make_params(chi=0.0), convex=False)[0] == 0.0
+        assert mu0_general(make_params(chi=0.0), convex=True)[0] == 0.0
 
     def test_hand_evaluated_general_point(self):
         # (3/(sqrt(10)-2)) (1/1 + 2/2) alpha |chi| with chi = -1
-        value, _ = mu0_3d(make_params(d1=1, d2=2, chi=-1), convex=False)
+        value, _ = mu0_general(make_params(d1=1, d2=2, chi=-1), convex=False)
         assert value == pytest.approx(6.0 / (SQRT10 - 2.0), rel=1e-14)
         assert value == pytest.approx(5.162277, abs=1e-6)
 
     def test_dimension_gate(self):
-        with pytest.raises(ValueError, match="n = 3"):
-            mu0_3d(make_params(n=4))
         with pytest.raises(ValueError, match="3, 4, or 5"):
             mu0_general(make_params(n=6))
         with pytest.raises(ValueError, match="3, 4, or 5"):
@@ -86,9 +83,6 @@ class TestMu0:
         assert value == pytest.approx(12.0 / (math.sqrt(12.0) - 2.0), rel=1e-12)
         assert value == pytest.approx(8.196152, abs=1e-6)
         assert minimize_h(4, 1.0, 1.0).value / 3.0 < value
-
-    def test_delegates_to_3d(self):
-        assert mu0_general(make_params())[0] == mu0_3d(make_params())[0]
 
     @given(c=st.floats(0.01, 100))
     @settings(max_examples=40, deadline=None)
@@ -274,7 +268,7 @@ class TestCoefficients3D:
             d1, d2, alpha = rng.uniform(0.1, 10, 3)
             chi = rng.uniform(0.1, 10) * rng.choice([-1, 1])
             p = make_params(d1=d1, d2=d2, alpha=alpha, chi=chi)
-            m0, _ = mu0_3d(p, convex=False)
+            m0, _ = mu0_general(p, convex=False)
             for mult in (1.001, 1.1, 2.0, 10.0):
                 c = select_coefficients_3d(p, mult * m0)
                 assert verify_system_3d(p, mult * m0, c).passed
@@ -354,7 +348,14 @@ class TestReport:
         assert rep.gamma == pytest.approx(7.797256097560976e-4, rel=1e-12)
         assert rep.epsilon0 == pytest.approx(128.125)
         assert rep.coeffs3 is not None
-        assert rep.applicability.n == 3
+        assert rep.branch == BRANCH_GENERAL
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_mu0_undefined_outside_supported_dimensions(self, n):
+        rep = report(make_params(n=n), convex=True)
+        assert math.isnan(rep.mu0) and rep.branch == BRANCH_GENERAL
+        assert rep.mu1 == 0.25 and rep.gamma is not None
+        assert rep.coeffs3 is None and rep.coeffs45 is None
 
     def test_negative_kappa(self):
         rep = report(make_params(kappa=-1.0))
