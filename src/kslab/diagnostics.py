@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -135,30 +135,27 @@ CSV_COLUMNS = (
 VACUUM_FLOOR = 1e-12
 
 
+# Sampled alongside the CSV table for the convergence audit only.
+_AUDIT_COLUMNS = ("Linf_v", "dev_linf_u", "dev_linf_v")
+
+
 @dataclass
 class DiagnosticsSeries:
-    """Time-indexed record of norms and functionals along one run.
+    """Time-indexed table of norms and functionals along one run.
 
-    The deviation norms from the positive equilibrium are carried as
-    supplementary arrays for the convergence audit; they are not part of
-    the CSV table.
+    One list per column, keyed by the CSV_COLUMNS names plus the
+    audit-only Linf_v, dev_linf_u and dev_linf_v (the sup norm of v and the
+    sup deviations from the positive equilibrium), which the convergence
+    audit reads and the CSV table leaves out.
     """
 
-    times: List[float] = field(default_factory=list)
-    mass_u: List[float] = field(default_factory=list)
-    l2_u: List[float] = field(default_factory=list)
-    l3_u: List[float] = field(default_factory=list)
-    linf_u: List[float] = field(default_factory=list)
-    l2_gradv: List[float] = field(default_factory=list)
-    l4_gradv: List[float] = field(default_factory=list)
-    l6_gradv: List[float] = field(default_factory=list)
-    z3: List[float] = field(default_factory=list)
-    z45: List[float] = field(default_factory=list)
-    H: List[float] = field(default_factory=list)
-    clamp_count: List[int] = field(default_factory=list)
-    linf_v: List[float] = field(default_factory=list)
-    dev_linf_u: List[float] = field(default_factory=list)
-    dev_linf_v: List[float] = field(default_factory=list)
+    columns: Dict[str, list] = field(
+        default_factory=lambda: {name: [] for name in CSV_COLUMNS + _AUDIT_COLUMNS}
+    )
+
+    @property
+    def times(self) -> List[float]:
+        return self.columns["t"]
 
     def sample(
         self,
@@ -170,63 +167,49 @@ class DiagnosticsSeries:
         coeffs45: Optional[CoefficientSet45D] = None,
     ) -> None:
         u, v = state.u, state.v
-        self.times.append(float(state.t))
-        self.mass_u.append(float(np.sum(u) * grid.cell_volume))
-        self.l2_u.append(lp_norm(u, 2, grid))
-        self.l3_u.append(lp_norm(u, 3, grid))
-        self.linf_u.append(lp_norm(u, math.inf, grid))
-        g2 = grad_magnitude_squared(v, grid)
-        gmag = np.sqrt(g2)
-        self.l2_gradv.append(lp_norm(gmag, 2, grid))
-        self.l4_gradv.append(lp_norm(gmag, 4, grid))
-        self.l6_gradv.append(lp_norm(gmag, 6, grid))
-        self.z3.append(
-            functional_z3(state, grid, coeffs3) if coeffs3 else math.nan
-        )
-        self.z45.append(
-            functional_z45(state, grid, coeffs45) if coeffs45 else math.nan
-        )
-        if params.kappa > 0.0 and np.min(u) > VACUUM_FLOOR:
-            self.H.append(lyapunov_H(state, params, grid))
-        else:
-            self.H.append(math.nan)
-        self.clamp_count.append(int(clamp_total))
-        self.linf_v.append(lp_norm(v, math.inf, grid))
+        gmag = np.sqrt(grad_magnitude_squared(v, grid))
+        row = {
+            "t": float(state.t), "mass_u": float(np.sum(u) * grid.cell_volume),
+            "L2_u": lp_norm(u, 2, grid), "L3_u": lp_norm(u, 3, grid),
+            "Linf_u": lp_norm(u, math.inf, grid),
+            "L2_gradv": lp_norm(gmag, 2, grid), "L4_gradv": lp_norm(gmag, 4, grid),
+            "L6_gradv": lp_norm(gmag, 6, grid),
+            "z3": functional_z3(state, grid, coeffs3) if coeffs3 else math.nan,
+            "z45": functional_z45(state, grid, coeffs45) if coeffs45 else math.nan,
+            "H": math.nan, "clamp_count": int(clamp_total),
+            "Linf_v": lp_norm(v, math.inf, grid),
+            "dev_linf_u": math.nan, "dev_linf_v": math.nan,
+        }
         if params.kappa > 0.0:
+            if np.min(u) > VACUUM_FLOOR:
+                row["H"] = lyapunov_H(state, params, grid)
             u_eq = params.kappa / params.mu
             v_eq = params.alpha * params.kappa / (params.beta * params.mu)
-            self.dev_linf_u.append(float(np.max(np.abs(u - u_eq))))
-            self.dev_linf_v.append(float(np.max(np.abs(v - v_eq))))
-        else:
-            self.dev_linf_u.append(math.nan)
-            self.dev_linf_v.append(math.nan)
+            row["dev_linf_u"] = float(np.max(np.abs(u - u_eq)))
+            row["dev_linf_v"] = float(np.max(np.abs(v - v_eq)))
+        for name, value in row.items():
+            self.columns[name].append(value)
 
     def column(self, name: str) -> np.ndarray:
-        key = {
-            "t": "times", "mass_u": "mass_u", "L2_u": "l2_u", "L3_u": "l3_u",
-            "Linf_u": "linf_u", "L2_gradv": "l2_gradv", "L4_gradv": "l4_gradv",
-            "L6_gradv": "l6_gradv", "z3": "z3", "z45": "z45", "H": "H",
-            "clamp_count": "clamp_count", "Linf_v": "linf_v",
-            "dev_linf_u": "dev_linf_u", "dev_linf_v": "dev_linf_v",
-        }.get(name)
-        if key is None:
+        if name not in self.columns:
             raise KeyError(f"unknown diagnostics column {name!r}")
-        return np.asarray(getattr(self, key), dtype=float)
+        return np.asarray(self.columns[name], dtype=float)
 
     def to_csv(self) -> str:
         """Render the specified diagnostic table; empty cells for undefined
         functionals, full double precision otherwise."""
         lines = [",".join(CSV_COLUMNS)]
-        for i in range(len(self.times)):
-            row = []
-            for name in CSV_COLUMNS:
-                if name == "clamp_count":
-                    row.append(str(self.clamp_count[i]))
-                    continue
-                value = self.column(name)[i]
-                row.append("" if math.isnan(value) else "%.17e" % value)
-            lines.append(",".join(row))
+        lines.extend(
+            ",".join(map(_csv_cell, CSV_COLUMNS, row))
+            for row in zip(*(self.columns[name] for name in CSV_COLUMNS))
+        )
         return "\n".join(lines) + "\n"
+
+
+def _csv_cell(name: str, value) -> str:
+    if name == "clamp_count":
+        return "%d" % value
+    return "" if math.isnan(value) else "%.17e" % value
 
 
 @dataclass(frozen=True)
@@ -252,8 +235,7 @@ def mass_bound_check(
     if source.kind == "zero":
         raise ValueError("mass bound needs a damping certificate; f == 0 has none")
     bound = u0_mass + (source.a_cert + 1.0 / (4.0 * source.mu_cert)) * volume + tol
-    masses = np.asarray(series.mass_u, dtype=float)
-    margins = bound - masses
+    margins = bound - series.column("mass_u")
     worst = float(np.min(margins)) if margins.size else math.inf
     bad = np.nonzero(margins < 0.0)[0]
     return MassBoundResult(
@@ -326,7 +308,7 @@ def h_monotonicity_check(
     Allows tol_factor * H(0) of increase per elapsed step between samples;
     returns (ok, worst increase observed).
     """
-    h = np.asarray(series.H, dtype=float)
+    h = series.column("H")
     valid = ~np.isnan(h)
     h = h[valid]
     if h.size < 2:
@@ -358,7 +340,7 @@ def convergence_audit(
     kappa < 0: exponential rates must reach -kappa/(dim+1) for u and
     min(beta, -kappa)/(2 (dim+1)) for v.
     """
-    t = np.asarray(series.times, dtype=float)
+    t = series.column("t")
     window = (float(t[-1]) / 2.0, float(t[-1]))
     details: dict = {"window": window}
     if params.kappa > 0.0:

@@ -3,8 +3,7 @@
 Scheme: conservative finite volumes with mirror-ghost (no-flux) closure.
 Diffusion is implicit through per-axis tridiagonal sweeps, the chemotactic
 flux is explicit first-order upwind in conservative form, and reactions
-are explicit.  A fully explicit variant exists for tests that need exact
-translation equivariance.
+are explicit.
 """
 
 from __future__ import annotations
@@ -52,13 +51,10 @@ class SolverConfig:
     dt_min: float = 1e-10
     t_end: float = 1.0
     cfl_safety: float = 0.5
-    scheme: str = "imex-adi"
     blowup_linf_threshold: float = 1e8
     snapshot_stride: int = 10
 
     def __post_init__(self):
-        if self.scheme not in ("imex-adi", "fully-explicit"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.dt_min < self.dt_initial:
             raise ValueError("dt_min must be below dt_initial")
         if not (0.0 < self.cfl_safety <= 1.0):
@@ -145,7 +141,7 @@ def compute_dt(
     update is therefore clamp-free for cfl <= 1/3; above that, a signal
     with steep gradients on both sides of a cell can drive the cell
     negative, and step clamps and counts it.  Implicit diffusion adds no
-    restriction; the fully explicit scheme adds the usual h^2 bound.
+    restriction.
     """
     if face_grads is None:
         face_grads = face_gradients(state.v, grid)
@@ -160,13 +156,6 @@ def compute_dt(
     lipschitz = max(source.lipschitz_bound(state.u), params.beta)
     if lipschitz > 0.0:
         dt = min(dt, cfg.cfl_safety / lipschitz)
-    if cfg.scheme == "fully-explicit":
-        hmin = min(grid.spacing)
-        dmax = max(params.d1, params.d2)
-        if dmax > 0.0:
-            dt = min(
-                dt, cfg.cfl_safety * hmin * hmin / (2.0 * grid.dim * dmax)
-            )
     return dt
 
 
@@ -189,30 +178,6 @@ def _advection_divergence(
         div[lo] += flux / h
         div[hi] -= flux / h
     return div
-
-
-def _explicit_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
-    lap = np.zeros_like(f)
-    for axis in range(f.ndim):
-        h2 = grid.spacing[axis] ** 2
-        padded = np.pad(
-            f,
-            [(1, 1) if k == axis else (0, 0) for k in range(f.ndim)],
-            mode="edge",
-        )
-        lo = tuple(
-            slice(None, -2) if k == axis else slice(None)
-            for k in range(f.ndim)
-        )
-        mid = tuple(
-            slice(1, -1) if k == axis else slice(None) for k in range(f.ndim)
-        )
-        hi = tuple(
-            slice(2, None) if k == axis else slice(None)
-            for k in range(f.ndim)
-        )
-        lap += (padded[lo] - 2.0 * padded[mid] + padded[hi]) / h2
-    return lap
 
 
 def _implicit_diffusion(f: np.ndarray, coef: float, dt: float, grid: Grid) -> np.ndarray:
@@ -276,9 +241,6 @@ def step(
     dv = -params.beta * v + params.alpha * u
     if params.chi != 0.0:
         du = du - _advection_divergence(u, face_grads, params.chi, grid)
-    if cfg.scheme == "fully-explicit":
-        du = du + params.d1 * _explicit_laplacian(u, grid)
-        dv = dv + params.d2 * _explicit_laplacian(v, grid)
     if forcing_u is not None or forcing_v is not None:
         if mesh is None:
             mesh = grid.meshgrid()
@@ -288,10 +250,8 @@ def step(
             dv = dv + forcing_v(mesh, state.t)
     u = u + dt * du
     v = v + dt * dv
-
-    if cfg.scheme == "imex-adi":
-        u = _implicit_diffusion(u, params.d1, dt, grid)
-        v = _implicit_diffusion(v, params.d2, dt, grid)
+    u = _implicit_diffusion(u, params.d1, dt, grid)
+    v = _implicit_diffusion(v, params.d2, dt, grid)
 
     clamped = int(np.count_nonzero(u < -CLAMP_TOLERANCE)) + int(
         np.count_nonzero(v < -CLAMP_TOLERANCE)
@@ -442,7 +402,6 @@ def refinement_study(
             dt_min=1e-14,
             t_end=t_end,
             cfl_safety=0.5,
-            scheme="imex-adi",
             blowup_linf_threshold=1e8,
             snapshot_stride=10**9,
         )

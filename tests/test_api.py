@@ -33,7 +33,8 @@ def test_package_imports_resolve():
 
 
 @pytest.mark.parametrize(
-    "section,key,value", [("params", "a", "0.0"), ("solver", "strang", "true")]
+    "section,key,value",
+    [("params", "a", "0.0"), ("solver", "strang", "true"), ("solver", "scheme", "imex-adi")],
 )
 def test_removed_config_key_rejected(tmp_path, section, key, value):
     text = minimal_cfg(tmp_path).replace(

@@ -181,8 +181,8 @@ class TestLyapunov:
 class TestMassBound:
     def _series(self, masses):
         s = DiagnosticsSeries()
-        s.times = list(range(len(masses)))
-        s.mass_u = list(masses)
+        s.columns["t"] = list(range(len(masses)))
+        s.columns["mass_u"] = list(masses)
         return s
 
     def test_pass_and_margin(self):
@@ -264,18 +264,18 @@ class TestSeriesAndAudit:
 
     def _series_from(self, t, **columns):
         s = DiagnosticsSeries()
-        s.times = list(t)
-        n = len(s.times)
+        n = len(t)
         defaults = dict(
-            mass_u=np.ones(n), l2_u=np.ones(n), l3_u=np.ones(n),
-            linf_u=np.ones(n), l2_gradv=np.zeros(n), l4_gradv=np.zeros(n),
-            l6_gradv=np.zeros(n), z3=[math.nan] * n, z45=[math.nan] * n,
-            H=[math.nan] * n, clamp_count=[0] * n, linf_v=np.ones(n),
+            t=t, mass_u=np.ones(n), L2_u=np.ones(n), L3_u=np.ones(n),
+            Linf_u=np.ones(n), L2_gradv=np.zeros(n), L4_gradv=np.zeros(n),
+            L6_gradv=np.zeros(n), z3=[math.nan] * n, z45=[math.nan] * n,
+            H=[math.nan] * n, clamp_count=[0] * n, Linf_v=np.ones(n),
             dev_linf_u=np.ones(n), dev_linf_v=np.ones(n),
         )
         defaults.update(columns)
+        assert defaults.keys() == s.columns.keys()
         for key, val in defaults.items():
-            setattr(s, key, list(val))
+            s.columns[key] = list(val)
         return s
 
     def test_audit_positive_kappa(self):
@@ -292,7 +292,7 @@ class TestSeriesAndAudit:
         t = np.arange(0, 40, 0.2)
         p = unit_params(kappa=0.0)
         s = self._series_from(
-            t, linf_u=(1 + t) ** -1.0, linf_v=(1 + t) ** -0.9
+            t, Linf_u=(1 + t) ** -1.0, Linf_v=(1 + t) ** -0.9
         )
         audit = convergence_audit(s, p, None, dim=1)
         assert audit.passed
@@ -302,7 +302,7 @@ class TestSeriesAndAudit:
         t = np.arange(0, 30, 0.1)
         p = unit_params(kappa=-1.0)
         s = self._series_from(
-            t, linf_u=np.exp(-1.0 * t) + 1e-300, linf_v=np.exp(-0.6 * t)
+            t, Linf_u=np.exp(-1.0 * t) + 1e-300, Linf_v=np.exp(-0.6 * t)
         )
         audit = convergence_audit(s, p, None, dim=1)
         assert audit.passed
@@ -327,17 +327,28 @@ class TestSeriesAndAudit:
         assert not ok2 and worst2 > 0.05
 
     def test_csv_format(self):
-        t = [0.0, 1.0]
-        s = self._series_from(t)
-        text = s.to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == ",".join(CSV_COLUMNS)
-        cells = lines[1].split(",")
-        assert len(cells) == len(CSV_COLUMNS)
-        # undefined functionals render as empty cells
-        assert cells[CSV_COLUMNS.index("z3")] == ""
-        assert cells[CSV_COLUMNS.index("H")] == ""
-        assert cells[CSV_COLUMNS.index("clamp_count")] == "0"
-        # full double precision scientific notation round-trips
-        assert float(cells[0]) == 0.0
-        assert "e" in cells[1]
+        # defined and undefined functionals, nonzero clamps: the whole text
+        s = self._series_from(
+            [0.0, 0.5], z3=[0.1, 2.5], H=[math.nan, 0.25], clamp_count=[0, 3]
+        )
+        one, zero = "1.00000000000000000e+00", "0.00000000000000000e+00"
+        assert s.to_csv() == "\n".join([
+            "t,mass_u,L2_u,L3_u,Linf_u,L2_gradv,L4_gradv,L6_gradv,z3,z45,H,clamp_count",
+            ",".join([zero, one, one, one, one, zero, zero, zero,
+                      "1.00000000000000006e-01", "", "", "0"]),
+            ",".join(["5.00000000000000000e-01", one, one, one, one, zero, zero,
+                      zero, "2.50000000000000000e+00", "", "2.50000000000000000e-01",
+                      "3"]),
+        ]) + "\n"
+        assert s.to_csv().split("\n")[0] == ",".join(CSV_COLUMNS)
+
+    def test_audit_columns_stay_out_of_csv(self):
+        s = self._series_from([0.0, 1.0])
+        header = s.to_csv().split("\n")[0].split(",")
+        for name in ("Linf_v", "dev_linf_u", "dev_linf_v"):
+            assert name not in header
+            assert s.column(name).shape == (2,)
+
+    def test_unknown_column_names_it(self):
+        with pytest.raises(KeyError, match="'nope'"):
+            DiagnosticsSeries().column("nope")

@@ -92,7 +92,6 @@ class TestParse:
         cfg = parse_config(minimal_cfg(tmp_path))
         assert cfg.params.mu == 9.2921
         assert cfg.solver.dt_min == 1e-10  # default applied
-        assert cfg.solver.scheme == "imex-adi"
         assert cfg.ic.kind == "gaussian-bump"
         # equilibrium defaults for kappa > 0
         assert cfg.ic.base_u == pytest.approx(1.0 / 9.2921)
@@ -218,6 +217,77 @@ class TestRunScenario:
         result = run_scenario(cfg)
         assert result.exit_code == EXIT_PASS
         assert abs(result.report["observed_order"] - 2.0) <= 0.2
+
+    @pytest.mark.parametrize(
+        "name,kappa,t_end",
+        [("decay-zero-kappa", "0.0", "20"), ("decay-negative-kappa", "-1.0", "10")],
+    )
+    def test_decay_scenario_reaches_target_rates(self, tmp_path, name, kappa, t_end):
+        text = one_d_cfg(tmp_path, name=name, kappa=kappa, t_end=t_end)
+        result = run_scenario(parse_config(text))
+        assert result.exit_code == EXIT_PASS
+        report = result.report
+        targets = (
+            (report["audit_target_exponent"],) * 2 if name == "decay-zero-kappa"
+            else (report["audit_target_u"], report["audit_target_v"])
+        )
+        assert report["audit_fit_u"] >= targets[0] > 0.0
+        assert report["audit_fit_v"] >= targets[1] > 0.0
+        assert report["audit_rate_pass"] is True
+
+    @pytest.mark.parametrize(
+        "name,kappa", [("decay-zero-kappa", "0.0"), ("decay-negative-kappa", "-1.0")]
+    )
+    def test_decay_scenario_too_short_to_fit_fails(self, tmp_path, name, kappa):
+        text = one_d_cfg(tmp_path, name=name, kappa=kappa, t_end="0.5")
+        result = run_scenario(parse_config(text))
+        assert result.exit_code == EXIT_AUDIT
+        assert result.report["audit_error"].startswith(
+            "need at least 10 samples in window"
+        )
+        assert result.report["verdict"] == "fail"
+
+    def test_convex_comparison_reports_both_branches(self, tmp_path):
+        text = _set_key(
+            minimal_cfg(tmp_path, name="convex-comparison"), "scenario", "convex", "true"
+        )
+        result = run_scenario(parse_config(text))
+        assert result.exit_code == EXIT_PASS
+        report = result.report
+        assert report["mu0_convex_branch"] == pytest.approx(0.75)
+        assert report["mu0_general_branch"] == pytest.approx(7.743416, abs=1e-6)
+        assert report["mu_exceeds_convex_mu0"] is True
+        assert report["mu_exceeds_general_mu0"] is True
+        assert report["z3_stable"] is True
+
+
+class TestSmallDiffusionSweep:
+    """The d1 trend compares late-window peaks, so it can fail."""
+
+    def _run(self, tmp_path, t_end):
+        text = one_d_cfg(tmp_path, name="small-diffusion-sweep", t_end=t_end)
+        text += "\nsweep_axis = d1\nsweep_values = 1 0.5 0.1 0.05\n"
+        return run_scenario(parse_config(text))
+
+    @staticmethod
+    def _late_peaks(result):
+        return [float(s) for s in result.report["late_linf_u_by_d1"].split()]
+
+    def test_peaks_rising_as_d1_shrinks_pass(self, tmp_path):
+        result = self._run(tmp_path, "0.5")
+        assert result.exit_code == EXIT_PASS
+        peaks = self._late_peaks(result)  # ascending d1
+        assert peaks == sorted(peaks, reverse=True)
+        # all below the initial peak (about 2.01): the transient is excluded
+        assert max(peaks) < 0.5
+        assert "sup_linf_u_by_d1" not in result.report
+
+    def test_non_monotone_late_peaks_fail(self, tmp_path):
+        result = self._run(tmp_path, "2.0")
+        assert result.exit_code == EXIT_AUDIT
+        assert result.report["trend_nondecreasing_as_d1_shrinks"] is False
+        peaks = self._late_peaks(result)
+        assert peaks != sorted(peaks, reverse=True)
 
 
 class TestSweep:
