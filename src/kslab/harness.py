@@ -451,11 +451,20 @@ def _zstability(series: diag.DiagnosticsSeries):
     }
 
 
+# exit code and verdict of a run that stopped before t_end; no audit runs
+_STOPPED = {
+    sv.OUTCOME_BLOWUP: (EXIT_BLOWUP, "blow-up detected"),
+    sv.OUTCOME_DT_COLLAPSE: (EXIT_AUDIT, "time step collapsed"),
+    sv.OUTCOME_NONFINITE: (EXIT_AUDIT, "fail"),
+}
+
+
 def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     """Execute thresholds, simulation, diagnostics, and the scenario audit.
 
     Exit code 0 on audit pass, 2 on blow-up, 3 on config error (raised by
-    parse_config before we get here), 4 on audit failure or dt collapse.
+    parse_config before we get here), 4 on audit failure, dt collapse or a
+    non-finite u or v.
     """
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -488,14 +497,10 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     for index, state in enumerate(traj.states):
         sv.write_snapshot(snap_dir, state, cfg.grid, index)
 
-    if traj.outcome == sv.OUTCOME_BLOWUP:
-        lines["verdict"] = "blow-up detected"
-        _write_report(out, lines, EXIT_BLOWUP)
-        return ScenarioResult(EXIT_BLOWUP, traj.outcome, lines, out)
-    if traj.outcome == sv.OUTCOME_DT_COLLAPSE:
-        lines["verdict"] = "time step collapsed"
-        _write_report(out, lines, EXIT_AUDIT)
-        return ScenarioResult(EXIT_AUDIT, traj.outcome, lines, out)
+    if traj.outcome in _STOPPED:
+        code, lines["verdict"] = _STOPPED[traj.outcome]
+        _write_report(out, lines, code)
+        return ScenarioResult(code, traj.outcome, lines, out)
 
     passed = _audit_completed_run(cfg, report, traj, source, state0, lines)
     code = EXIT_PASS if passed else EXIT_AUDIT

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +33,17 @@ def test_package_imports_resolve():
     ]
     assert names
     assert [n for n in names if not hasattr(kslab, n)] == []
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(kslab.__file__).resolve().parents[1])
+    probe = "import sys, kslab; print('scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
+import dataclasses
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kslab.solver as sv
 from kslab.cli import cli
 from kslab.harness import (
     EXIT_AUDIT,
@@ -177,10 +179,7 @@ class TestRunScenario:
     def test_blowup_exit_code(self, tmp_path):
         text = minimal_cfg(tmp_path, amplitude="5.0")
         text = _replace_key(text, "t_end", "1.0")
-        text += "\nblowup_linf_threshold = 0.1" if False else ""
         cfg = parse_config(text)
-        cfg = cfg.__class__(**{**cfg.__dict__})  # copy
-        import dataclasses
         cfg = dataclasses.replace(
             cfg,
             solver=dataclasses.replace(cfg.solver, blowup_linf_threshold=0.1),
@@ -188,6 +187,26 @@ class TestRunScenario:
         result = run_scenario(cfg)
         assert result.exit_code == EXIT_BLOWUP
         assert result.outcome == "blowup-detected"
+
+    def test_non_finite_run_fails(self, tmp_path, monkeypatch):
+        # a NaN forcing from the second step on stands in for an overflow
+        real_run = sv.run
+
+        def nan_forced_run(*args, **kwargs):
+            def forcing_u(mesh, t):
+                return np.full(mesh[0].shape, np.nan if t > 0.0 else 0.0)
+
+            return real_run(*args, forcing_u=forcing_u, **kwargs)
+
+        monkeypatch.setattr(sv, "run", nan_forced_run)
+        cfg = parse_config(minimal_cfg(tmp_path))
+        result = run_scenario(cfg)
+        assert result.exit_code == EXIT_AUDIT
+        assert result.outcome == sv.OUTCOME_NONFINITE
+        report = (Path(cfg.output_dir) / "report.txt").read_text()
+        assert "outcome: non-finite" in report
+        assert "verdict: fail" in report
+        assert "exit_code: 4" in report
 
     def test_determinism_bit_identical_csv(self, tmp_path):
         text_a = _replace_key(minimal_cfg(tmp_path), "output_dir", tmp_path / "a")

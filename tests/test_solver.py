@@ -13,8 +13,11 @@ from kslab.solver import (
     OUTCOME_BLOWUP,
     OUTCOME_COMPLETED,
     OUTCOME_DT_COLLAPSE,
+    OUTCOME_NONFINITE,
     SolverConfig,
     _advection_divergence,
+    _implicit_diffusion,
+    _line_inverse,
     compute_dt,
     initial_condition,
     manufactured_problem,
@@ -149,6 +152,57 @@ class TestStepExactness:
         )
 
 
+def line_solve_reference(f, coef, dt, grid):
+    """Per-line np.linalg.solve with the finite-volume line matrix
+    I + theta D^T D, D the (n-1) x n face-difference matrix (no-flux ends)."""
+    out = np.array(f, dtype=float)
+    for axis, n in enumerate(f.shape):
+        theta = dt * coef / grid.spacing[axis] ** 2
+        faces = np.diff(np.eye(n), axis=0)
+        matrix = np.eye(n) + theta * faces.T @ faces
+        moved = np.moveaxis(out, axis, -1)
+        lines = [np.linalg.solve(matrix, line) for line in moved.reshape(-1, n)]
+        out = np.moveaxis(np.reshape(lines, moved.shape), -1, axis)
+    return out
+
+
+KERNEL_GRIDS = [
+    Grid(dim=1, extents=(1.3,), cells=(7,)),
+    Grid(dim=2, extents=(2.0, 0.7), cells=(8, 5)),
+    Grid(dim=3, extents=(1.0, 0.5, 3.0), cells=(6, 4, 9)),
+]
+
+
+class TestImplicitDiffusion:
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=lambda g: str(g.cells))
+    @pytest.mark.parametrize("theta", [1e-3, 1e-1, 1.0, 10.0, 1e3])
+    def test_matches_line_by_line_solve(self, grid, theta):
+        # theta on axis 0; the other axes get theta (h_0 / h_k)^2
+        coef = 0.7
+        dt = theta * grid.spacing[0] ** 2 / coef
+        f = np.random.default_rng(grid.dim).uniform(0.5, 1.5, grid.cells)
+        got = _implicit_diffusion(f, coef, dt, grid)
+        np.testing.assert_allclose(
+            got, line_solve_reference(f, coef, dt, grid), rtol=1e-12, atol=0.0
+        )
+
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=lambda g: str(g.cells))
+    def test_stiff_solve_keeps_constants_and_mass(self, grid):
+        dt = 1e3 * grid.spacing[0] ** 2
+        for value in (0.37, 7.3, 2.2250738585e-313):  # the last is subnormal
+            const = np.full(grid.cells, value)
+            assert np.array_equal(_implicit_diffusion(const, 1.0, dt, grid), const)
+        f = np.random.default_rng(7).uniform(0.5, 1.5, grid.cells)
+        mass = np.sum(f)
+        assert abs(np.sum(_implicit_diffusion(f, 1.0, dt, grid)) - mass) <= 1e-13 * mass
+
+    def test_line_inverse_is_read_only(self):
+        inv = _line_inverse(7, 0.5)
+        assert not inv.flags.writeable
+        with pytest.raises(ValueError):
+            inv[0, 0] = 1.0
+
+
 @hs.composite
 def small_problems(draw):
     """A 1-D or 2-D grid of 4 to 8 cells per axis, admissible parameters,
@@ -262,6 +316,25 @@ class TestAdaptivity:
         )
         traj = run(st, p, logistic(p), g, cfg)
         assert traj.outcome == OUTCOME_DT_COLLAPSE
+
+    @pytest.mark.parametrize("field", ["u", "v"])
+    def test_non_finite_state_ends_run(self, field):
+        p = unit_params(n=1)
+        g = Grid(dim=1, extents=(1.0,), cells=(16,))
+        st = initial_condition(
+            "gaussian-bump", g, base_u=0.5, base_v=0.5, amplitude=1.0
+        )
+        cfg = SolverConfig(dt_initial=1e-3, t_end=1.0, snapshot_stride=1)
+
+        def forcing(mesh, t):
+            return np.full(mesh[0].shape, np.nan if t > 0.0 else 0.0)
+
+        traj = run(st, p, logistic(p), g, cfg, **{f"forcing_{field}": forcing})
+        assert traj.outcome == OUTCOME_NONFINITE
+        assert traj.steps == 2
+        final = traj.states[-1]
+        assert not np.all(np.isfinite(getattr(final, field)))
+        assert np.all(np.isfinite(traj.diagnostics.column("Linf_u")))
 
     def test_blowup_detector_fires_on_initial_state(self):
         p = unit_params()
