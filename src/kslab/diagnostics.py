@@ -230,14 +230,14 @@ def mass_bound_check(
     """Check the integrated-density ceiling from the damping certificate.
 
     The total mass may never exceed ||u0||_1 + (a + 1/(4 mu)) |Omega| for
-    any certificate pair (a, mu) of the source.
+    any certificate pair (a, mu) of the source.  A NaN mass is a violation.
     """
     if source.kind == "zero":
         raise ValueError("mass bound needs a damping certificate; f == 0 has none")
     bound = u0_mass + (source.a_cert + 1.0 / (4.0 * source.mu_cert)) * volume + tol
     margins = bound - series.column("mass_u")
     worst = float(np.min(margins)) if margins.size else math.inf
-    bad = np.nonzero(margins < 0.0)[0]
+    bad = np.nonzero(~(margins >= 0.0))[0]
     return MassBoundResult(
         passed=bad.size == 0,
         bound=bound,
@@ -274,10 +274,13 @@ def fit_decay(
     """Fit exponential (ln y vs t) and algebraic (ln y vs ln(1+t)) decay.
 
     The model with the higher coefficient of determination wins; both
-    below 0.9 means no credible decay model ("none").
+    below 0.9 means no credible decay model ("none").  Non-finite times or
+    values are rejected.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+        raise ValueError("decay fitting requires finite times and values")
     if window is None:
         window = (float(t[0]), float(t[-1])) if t.size else (0.0, 0.0)
     mask = (t >= window[0]) & (t <= window[1])

@@ -93,9 +93,23 @@ def _grid_compass_min(f, d1: float, d2: float) -> Tuple[float, float, float]:
     """Minimize f(eps, eta) over (0, d1) x (0, d2); returns (value, eps, eta).
 
     Coarse 64x64 logarithmic grid (f must accept arrays), then compass
-    pattern search from the best cell (shrink factor 1/2, 40 shrink
-    rounds).  The objectives searched here are smooth and empirically
-    unimodal.
+    pattern search from the best cell: 40 rounds with steps (d1, d2)/8
+    halved each round.  An iteration polls (x +- sx, y) and (x, y +- sy)
+    around its starting point in that order, moving to each poll that
+    beats the best value so far; a round repeats while an iteration moves,
+    at most 200 times.  The objectives searched here are smooth and
+    empirically unimodal.
+
+    The polls are batched: one call of f evaluates the 4 polls around the
+    current point at the current step and at every later one.  The
+    acceptance rule is replayed over these values, round after round,
+    until an iteration moves; then the point is new and f is called again
+    around it (at the same step, or at the next once 200 iterations are
+    spent).  So f is called twice plus once per moving iteration.  The
+    result is bit-identical to polling one point per call: an iteration's
+    polls depend only on its starting point, the steps (d1/8) 2**-j are
+    exactly the halved ones, x + (-s) and x + 0 round like x - s and x,
+    and f's array operations round like its scalar ones.
     """
     grid_e = d1 * np.geomspace(1e-3, 0.999, 64)
     grid_g = d2 * np.geomspace(1e-3, 0.999, 64)
@@ -103,20 +117,24 @@ def _grid_compass_min(f, d1: float, d2: float) -> Tuple[float, float, float]:
     vals = f(ee, gg)
     k = int(np.argmin(vals))
     x, y, fx = float(ee.flat[k]), float(gg.flat[k]), float(vals.flat[k])
-    sx, sy = d1 / 8.0, d2 / 8.0
-    for _ in range(40):
-        moved = True
-        polls = 0
-        while moved and polls < 200:
-            moved = False
+    rounds, polls = 0, 0
+    while rounds < 40:
+        halving = 0.5 ** np.arange(rounds, 40)[:, None]
+        cx = x + d1 / 8.0 * halving * (1.0, -1.0, 0.0, 0.0)
+        cy = y + d2 / 8.0 * halving * (0.0, 0.0, 1.0, -1.0)
+        vals = f(cx, cy).tolist()
+        for row, polled in enumerate(vals):
             polls += 1
-            for cx, cy in ((x + sx, y), (x - sx, y), (x, y + sy), (x, y - sy)):
-                fc = float(f(cx, cy))
+            moved = False
+            for col, fc in enumerate(polled):
                 if fc < fx:
-                    x, y, fx = cx, cy, fc
+                    x, y, fx = float(cx[row, col]), float(cy[row, col]), fc
                     moved = True
-        sx *= 0.5
-        sy *= 0.5
+            if moved:
+                if polls >= 200:
+                    rounds, polls = rounds + 1, 0
+                break
+            rounds, polls = rounds + 1, 0
     return fx, x, y
 
 
@@ -593,10 +611,7 @@ def _relaxed_overlap_45d(params, mu, eps, eta):
         hi6 = (c_lin + root6) / (2.0 * b_quad)
 
         overlap = np.minimum(hi7, hi6) - np.maximum(lo7, lo6)
-    out = np.where(ok6 & ok7, overlap, -np.inf)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.where(ok6 & ok7, overlap, -np.inf)
 
 
 def _max_relaxed_overlap_45d(params, mu):

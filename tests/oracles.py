@@ -1,7 +1,8 @@
 """Independent brute-force oracles shared by the unit and acceptance tests.
 
 These deliberately avoid the library's own search routines: the h oracle
-is a dense uniform grid scan with local refinement, nothing smarter.
+is a dense uniform grid scan with local refinement, nothing smarter, and
+the compass oracle polls one point per objective call.
 """
 
 import numpy as np
@@ -37,3 +38,36 @@ def h_bruteforce(n, d1, d2, cells=2000, refine=2):
         lo_e, hi_e = max(0.0, e_star - 2 * de), min(d1, e_star + 2 * de)
         lo_g, hi_g = max(0.0, g_star - 2 * dg), min(d2, g_star + 2 * dg)
     return best
+
+
+def compass_reference(f, d1, d2):
+    """The grid-plus-compass search with one scalar objective call per poll.
+
+    Same 64x64 logarithmic grid and compass rule as the library's search
+    (4 polls per iteration around its starting point, steps (d1, d2)/8
+    halved over 40 rounds, at most 200 iterations per round).  Returns
+    ((value, eps, eta), number of iterations that moved).
+    """
+    grid_e = d1 * np.geomspace(1e-3, 0.999, 64)
+    grid_g = d2 * np.geomspace(1e-3, 0.999, 64)
+    ee, gg = np.meshgrid(grid_e, grid_g, indexing="ij")
+    vals = f(ee, gg)
+    k = int(np.argmin(vals))
+    x, y, fx = float(ee.flat[k]), float(gg.flat[k]), float(vals.flat[k])
+    sx, sy = d1 / 8.0, d2 / 8.0
+    moved_iterations = 0
+    for _ in range(40):
+        moved = True
+        polls = 0
+        while moved and polls < 200:
+            moved = False
+            polls += 1
+            for cx, cy in ((x + sx, y), (x - sx, y), (x, y + sy), (x, y - sy)):
+                fc = float(f(cx, cy))
+                if fc < fx:
+                    x, y, fx = cx, cy, fc
+                    moved = True
+            moved_iterations += moved
+        sx *= 0.5
+        sy *= 0.5
+    return (fx, x, y), moved_iterations

@@ -208,6 +208,13 @@ class TestMassBound:
         # certificate a = kappa^2/(2 mu) -> 0 and 1/(4 mu_cert) -> 0
         assert res.bound == pytest.approx(0.5 + 1e-6, abs=1e-8)
 
+    def test_nan_mass_is_a_violation(self):
+        src = SourceFunction.standard_logistic(0.0, 2.0)
+        series = self._series([1.0, math.nan, 1.0])
+        res = mass_bound_check(series, src, u0_mass=1.0, volume=1.0)
+        assert res.passed is False
+        assert res.first_violation == 1
+
     def test_zero_source_rejected(self):
         series = self._series([1.0])
         with pytest.raises(ValueError, match="certificate"):
@@ -254,6 +261,17 @@ class TestFitDecay:
             fit_decay(t[:5], np.exp(-t[:5]))
         with pytest.raises(ValueError, match="positive"):
             fit_decay(t, np.linspace(1, -1, t.size))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        t = np.arange(0, 20.0001, 0.1)
+        y = np.exp(-0.3 * t)
+        bad_t, bad_y = t.copy(), y.copy()
+        bad_t[50] = bad_y[50] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_decay(t, bad_y)
+        with pytest.raises(ValueError, match="finite"):
+            fit_decay(bad_t, y)
 
 
 class TestSeriesAndAudit:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 from pathlib import Path
 
@@ -263,6 +264,27 @@ class TestRunScenario:
         assert result.exit_code == EXIT_AUDIT
         assert result.report["audit_error"].startswith(
             "need at least 10 samples in window"
+        )
+        assert result.report["verdict"] == "fail"
+
+    def test_nan_in_fitted_series_fails_audit(self, tmp_path, monkeypatch):
+        # one NaN sup-norm sample inside the fitting window of a run that
+        # otherwise passes (test_decay_scenario_reaches_target_rates)
+        real_run = sv.run
+
+        def run_with_nan_sample(*args, **kwargs):
+            traj = real_run(*args, **kwargs)
+            traj.diagnostics.columns["Linf_u"][-2] = math.nan
+            return traj
+
+        monkeypatch.setattr(sv, "run", run_with_nan_sample)
+        text = one_d_cfg(
+            tmp_path, name="decay-negative-kappa", kappa="-1.0", t_end="10"
+        )
+        result = run_scenario(parse_config(text))
+        assert result.exit_code == EXIT_AUDIT
+        assert result.report["audit_error"] == (
+            "decay fitting requires finite times and values"
         )
         assert result.report["verdict"] == "fail"
 

@@ -11,6 +11,8 @@ from kslab.thresholds import (
     BRANCH_GENERAL,
     CoefficientSet3D,
     CoefficientSet45D,
+    _grid_compass_min,
+    _relaxed_overlap_45d,
     coefficient_recipe_3d,
     feasibility_floor_45d,
     gamma_rate,
@@ -25,7 +27,7 @@ from kslab.thresholds import (
     verify_system_45d,
 )
 
-from oracles import h_bruteforce
+from oracles import compass_reference, h_bruteforce
 
 SQRT10 = math.sqrt(10.0)
 MU0_UNIT_3D = 9.0 / (SQRT10 - 2.0)  # 7.743416490252569
@@ -145,6 +147,48 @@ class TestMinimizeH:
             minimize_h(3, 1.0, 1.0)
         with pytest.raises(ValueError, match="positive"):
             minimize_h(4, -1.0, 1.0)
+
+
+class TestGridCompass:
+    """The batched compass search against the one-poll-per-call oracle."""
+
+    @staticmethod
+    def _assert_matches_reference(f, d1, d2):
+        expected, moved = compass_reference(f, d1, d2)
+        calls = []
+
+        def counted(e, g):
+            calls.append(e)
+            return f(e, g)
+
+        assert _grid_compass_min(counted, d1, d2) == expected
+        # the grid, the first batch of polls, and one batch per move
+        assert len(calls) == 2 + moved
+        return expected, moved
+
+    @pytest.mark.parametrize(
+        "n,d1,d2", [(4, 1.0, 1.0), (5, 2.0, 0.5), (4, 0.37, 0.011)]
+    )
+    def test_h_objective_bit_identical(self, n, d1, d2):
+        _, moved = self._assert_matches_reference(
+            lambda e, g: h_objective(n, d1, d2, e, g), d1, d2
+        )
+        assert moved > 0
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("factor", [1.2, 2.5])
+    def test_relaxed_overlap_bit_identical(self, n, factor):
+        # 1.2 mu0 lies below the certified floor (about 1.75 mu0 for these
+        # sets), where the overlap is -inf; 2.5 mu0 lies above it
+        p = make_params(n=n)
+        mu = factor * mu0_general(p)[0]
+        (value, _, _), moved = self._assert_matches_reference(
+            lambda e, g: -_relaxed_overlap_45d(p, mu, e, g), p.d1, p.d2
+        )
+        if mu < feasibility_floor_45d(p):
+            assert value == math.inf and moved == 0
+        else:
+            assert value < 0.0 and moved > 0
 
 
 class TestMu1AndGamma:
