@@ -1,8 +1,8 @@
 """Numerical laboratory for logistic damping in chemotaxis-growth systems.
 
 Closed-form damping and convergence thresholds, coefficient selection for
-the coupled dissipation systems, an IMEX finite-difference solver on box
-grids with blow-up detection, functional/decay diagnostics, and a scenario
+the coupled dissipation systems, an IMEX finite-volume solver on box grids
+with blow-up detection, functional/decay diagnostics, and a scenario
 harness with CLI.
 """
 
@@ -45,7 +45,6 @@ from .diagnostics import (
 )
 from .harness import (
     ExperimentConfig,
-    SweepSpec,
     parse_config,
     run_scenario,
     run_sweep,

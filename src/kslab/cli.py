@@ -96,8 +96,7 @@ def _cmd_sweep(args) -> int:
         raise harness.ConfigError(f"bad --values list: {args.values!r}")
     if not values:
         raise harness.ConfigError("--values list is empty")
-    spec = harness.SweepSpec(axis=args.axis, values=values, base=cfg)
-    rows = harness.run_sweep(spec)
+    rows = harness.run_sweep(cfg, args.axis, values)
     failures = sum(1 for r in rows if r["error"])
     print(f"points: {len(rows)}  failures: {failures}")
     print(f"summary: {Path(cfg.output_dir) / 'summary.csv'}")

@@ -342,27 +342,30 @@ def convergence_audit(
     kappa = 0: algebraic exponents of the sup norms must reach 1/(dim+1).
     kappa < 0: exponential rates must reach -kappa/(dim+1) for u and
     min(beta, -kappa)/(2 (dim+1)) for v.
+
+    details holds the report lines of the regime: audit_fit_model,
+    audit_fit_rate and audit_gamma for kappa > 0; the fitted rates
+    audit_fit_u and audit_fit_v, plus audit_target_exponent for kappa = 0
+    or audit_target_u and audit_target_v for kappa < 0.
     """
     t = series.column("t")
     window = (float(t[-1]) / 2.0, float(t[-1]))
-    details: dict = {"window": window}
     if params.kappa > 0.0:
         if threshold_report is None or threshold_report.gamma is None:
             raise ValueError("kappa > 0 audit needs a report carrying gamma")
         dev = series.column("dev_linf_u") + series.column("dev_linf_v")
         fit = fit_decay(t, dev, window)
-        details["fit"] = fit
-        details["gamma"] = threshold_report.gamma
-        ok = (
-            fit.model == "exponential"
-            and fit.rate >= threshold_report.gamma
-        )
+        gamma = threshold_report.gamma
+        ok = fit.model == "exponential" and fit.rate >= gamma
+        details = {"audit_fit_model": fit.model, "audit_fit_rate": fit.rate,
+                   "audit_gamma": gamma}
         return AuditResult(regime="kappa>0", passed=ok, details=details)
+    fit_u = fit_decay(t, series.column("Linf_u"), window)
+    fit_v = fit_decay(t, series.column("Linf_v"), window)
+    details = {"audit_fit_u": fit_u.rate, "audit_fit_v": fit_v.rate}
     if params.kappa == 0.0:
         target = 1.0 / (dim + 1.0)
-        fit_u = fit_decay(t, series.column("Linf_u"), window)
-        fit_v = fit_decay(t, series.column("Linf_v"), window)
-        details.update(fit_u=fit_u, fit_v=fit_v, target=target)
+        details["audit_target_exponent"] = target
         ok = (
             fit_u.model == "algebraic"
             and fit_u.rate >= target
@@ -372,9 +375,7 @@ def convergence_audit(
         return AuditResult(regime="kappa=0", passed=ok, details=details)
     target_u = -params.kappa / (dim + 1.0)
     target_v = min(params.beta, -params.kappa) / (2.0 * (dim + 1.0))
-    fit_u = fit_decay(t, series.column("Linf_u"), window)
-    fit_v = fit_decay(t, series.column("Linf_v"), window)
-    details.update(fit_u=fit_u, fit_v=fit_v, target_u=target_u, target_v=target_v)
+    details.update(audit_target_u=target_u, audit_target_v=target_v)
     ok = (
         fit_u.model == "exponential"
         and fit_u.rate >= target_u

@@ -1,9 +1,12 @@
 """Experiment configuration, scenario orchestration, and parameter sweeps.
 
-Config files are flat key = value text under five [section] headers; the
-format round-trips bit-exactly and unknown keys are hard errors.  Scenario
-runs write a line-oriented report.txt, the diagnostics CSV, and raw field
-snapshots into the configured output directory.
+Config files are flat key = value text under five [section] headers.  One
+schema table (_SCHEMA) names every key with its converter; the keys are the
+field names of Parameters, Grid, SolverConfig, ICSpec and ExperimentConfig,
+whose defaults apply to unset keys.  The format round-trips bit-exactly and
+unknown keys are hard errors.  Scenario runs write a line-oriented
+report.txt, the diagnostics CSV, and raw field snapshots into the
+configured output directory.
 """
 
 from __future__ import annotations
@@ -21,13 +24,12 @@ import numpy as np
 from . import diagnostics as diag
 from . import solver as sv
 from . import thresholds as th
-from .params import Grid, Parameters, SourceFunction, State, validate
+from .params import Grid, Parameters, SourceFunction, validate
 
 __all__ = [
     "ConfigError",
     "ICSpec",
     "ExperimentConfig",
-    "SweepSpec",
     "parse_config",
     "serialize_config",
     "ScenarioResult",
@@ -84,36 +86,85 @@ class ExperimentConfig:
     order_grids: Optional[Tuple[int, ...]] = None
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    axis: str
-    values: Tuple[float, ...]
-    base: ExperimentConfig
+def _number(value: str) -> float:
+    try:
+        number = float(value)
+    except ValueError:
+        raise ValueError(f"expected a number, got {value!r}")
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
 
 
-_SECTION_KEYS = {
-    "params": {"d1", "d2", "chi", "alpha", "beta", "kappa", "mu", "n"},
-    "grid": {"dim", "extents", "cells"},
+def _integer(value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _boolean(value: str) -> bool:
+    low = value.lower()
+    if low in ("true", "yes", "1", "on"):
+        return True
+    if low in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {value!r}")
+
+
+def _list_of(convert, noun: str):
+    def parse(value: str) -> tuple:
+        parts = value.replace(",", " ").split()
+        if not parts:
+            raise ValueError(f"expected a list of {noun}")
+        return tuple(convert(part) for part in parts)
+
+    return parse
+
+
+_numbers = _list_of(_number, "numbers")
+_integers = _list_of(_integer, "integers")
+
+# The config schema, section -> {key: converter}, in file order.  Keys are
+# the field names of the section's dataclass (the scenario section fills
+# ExperimentConfig, under the two renamed keys of _FIELD); defaults and
+# required keys (fields without a default) come from those dataclasses.
+_SCHEMA = {
+    "params": {
+        **dict.fromkeys(("d1", "d2", "chi", "alpha", "beta", "kappa", "mu"), _number),
+        "n": _integer,
+    },
+    "grid": {"dim": _integer, "extents": _numbers, "cells": _integers},
     "solver": {
-        "dt_initial", "dt_min", "t_end", "cfl_safety",
-        "blowup_linf_threshold", "snapshot_stride",
+        **dict.fromkeys(
+            ("dt_initial", "dt_min", "t_end", "cfl_safety", "blowup_linf_threshold"),
+            _number,
+        ),
+        "snapshot_stride": _integer,
     },
-    "ic": {"kind", "base_u", "base_v", "amplitude", "width"},
+    "ic": {"kind": str, **dict.fromkeys(("base_u", "base_v", "amplitude", "width"), _number)},
     "scenario": {
-        "name", "convex", "output_dir", "seed", "sweep_axis",
-        "sweep_values", "grids",
+        "name": str, "convex": _boolean, "output_dir": str, "seed": _integer,
+        "sweep_axis": str, "sweep_values": _numbers, "grids": _integers,
     },
+}
+_FIELD = {"name": "scenario", "grids": "order_grids"}
+_TYPES = {
+    "params": Parameters, "grid": Grid, "solver": sv.SolverConfig,
+    "ic": ICSpec, "scenario": ExperimentConfig,
 }
 
-_REQUIRED = {
-    "params": {"d1", "d2", "chi", "alpha", "beta", "kappa", "mu"},
-    "grid": {"dim", "extents", "cells"},
-    "scenario": {"name"},
-}
+
+def _required(section: str) -> set:
+    no_default = {
+        f.name for f in dataclasses.fields(_TYPES[section])
+        if f.default is dataclasses.MISSING
+    }
+    return {key for key in _SCHEMA[section] if _FIELD.get(key, key) in no_default}
 
 
 def _sections(text: str) -> Dict[str, Dict[str, str]]:
-    sections: Dict[str, Dict[str, str]] = {}
+    sections: Dict[str, Dict[str, str]] = {name: {} for name in _SCHEMA}
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -121,9 +172,8 @@ def _sections(text: str) -> Dict[str, Dict[str, str]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
-            if current not in _SECTION_KEYS:
+            if current not in _SCHEMA:
                 raise ConfigError(f"line {lineno}: unknown section [{current}]")
-            sections.setdefault(current, {})
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
@@ -131,14 +181,13 @@ def _sections(text: str) -> Dict[str, Dict[str, str]]:
             raise ConfigError(f"line {lineno}: key outside any [section]")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _SECTION_KEYS[current]:
+        if key not in _SCHEMA[current]:
             raise ConfigError(f"unknown key {key!r} in section [{current}]")
         if key in sections[current]:
             raise ConfigError(f"duplicate key {key!r} in section [{current}]")
         sections[current][key] = value
-    for name, keys in _REQUIRED.items():
-        have = sections.get(name, {})
-        missing = keys - set(have)
+    for name, have in sections.items():
+        missing = _required(name) - set(have)
         if missing:
             raise ConfigError(
                 f"section [{name}] missing required keys: {sorted(missing)}"
@@ -146,142 +195,46 @@ def _sections(text: str) -> Dict[str, Dict[str, str]]:
     return sections
 
 
-def _as_float(sec: str, key: str, value: str) -> float:
+def _convert(section: str, key: str, value: str):
     try:
-        number = float(value)
-    except ValueError:
-        raise ConfigError(f"[{sec}] {key}: expected a number, got {value!r}")
-    if not math.isfinite(number):
-        raise ConfigError(f"[{sec}] {key}: expected a finite number, got {value!r}")
-    return number
+        return _SCHEMA[section][key](value)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}")
 
 
-def _as_int(sec: str, key: str, value: str) -> int:
+def _build(section: str, make, fields: dict):
     try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"[{sec}] {key}: expected an integer, got {value!r}")
-
-
-def _as_bool(sec: str, key: str, value: str) -> bool:
-    low = value.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"[{sec}] {key}: expected a boolean, got {value!r}")
-
-
-def _as_floats(sec: str, key: str, value: str) -> Tuple[float, ...]:
-    parts = value.replace(",", " ").split()
-    if not parts:
-        raise ConfigError(f"[{sec}] {key}: expected a list of numbers")
-    return tuple(_as_float(sec, key, p) for p in parts)
-
-
-def _as_ints(sec: str, key: str, value: str) -> Tuple[int, ...]:
-    parts = value.replace(",", " ").split()
-    if not parts:
-        raise ConfigError(f"[{sec}] {key}: expected a list of integers")
-    return tuple(_as_int(sec, key, p) for p in parts)
+        return make(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}]: {exc}")
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate an experiment configuration."""
-    sec = _sections(text)
-
-    p = sec["params"]
-    g = sec["grid"]
-    dim = _as_int("grid", "dim", g["dim"])
-    try:
-        grid = Grid(
-            dim=dim,
-            extents=_as_floats("grid", "extents", g["extents"]),
-            cells=_as_ints("grid", "cells", g["cells"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[grid]: {exc}")
-    try:
-        params = validate(
-            Parameters(
-                d1=_as_float("params", "d1", p["d1"]),
-                d2=_as_float("params", "d2", p["d2"]),
-                chi=_as_float("params", "chi", p["chi"]),
-                alpha=_as_float("params", "alpha", p["alpha"]),
-                beta=_as_float("params", "beta", p["beta"]),
-                kappa=_as_float("params", "kappa", p["kappa"]),
-                mu=_as_float("params", "mu", p["mu"]),
-                n=_as_int("params", "n", p.get("n", str(dim))),
-            )
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[params]: {exc}")
-
-    s = sec.get("solver", {})
-    try:
-        solver_cfg = sv.SolverConfig(
-            dt_initial=_as_float("solver", "dt_initial", s.get("dt_initial", "0.01")),
-            dt_min=_as_float("solver", "dt_min", s.get("dt_min", "1e-10")),
-            t_end=_as_float("solver", "t_end", s.get("t_end", "1.0")),
-            cfl_safety=_as_float("solver", "cfl_safety", s.get("cfl_safety", "0.5")),
-            blowup_linf_threshold=_as_float(
-                "solver", "blowup_linf_threshold",
-                s.get("blowup_linf_threshold", "1e8"),
-            ),
-            snapshot_stride=_as_int(
-                "solver", "snapshot_stride", s.get("snapshot_stride", "10")
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[solver]: {exc}")
-
-    i = sec.get("ic", {})
-    kind = i.get("kind", "constant-plus-perturbation")
-    if kind == "custom-field":
-        raise ConfigError(
-            "[ic]: custom-field initial data cannot be described in a config file"
-        )
-    if kind not in ("constant-plus-perturbation", "gaussian-bump"):
-        raise ConfigError(f"[ic]: unknown kind {kind!r}")
-    if params.kappa > 0.0:
-        default_u = params.kappa / params.mu
-        default_v = params.alpha * params.kappa / (params.beta * params.mu)
-    else:
-        default_u = 1.0
-        default_v = params.alpha * 1.0 / params.beta
-    ic = ICSpec(
-        kind=kind,
-        base_u=_as_float("ic", "base_u", i.get("base_u", repr(default_u))),
-        base_v=_as_float("ic", "base_v", i.get("base_v", repr(default_v))),
-        amplitude=_as_float("ic", "amplitude", i.get("amplitude", "0")),
-        width=_as_float("ic", "width", i.get("width", "0.1")),
+    p, g, s, i, sc = (
+        {_FIELD.get(key, key): _convert(name, key, value) for key, value in raw.items()}
+        for name, raw in _sections(text).items()
     )
+    grid = _build("grid", Grid, g)
+    p.setdefault("n", grid.dim)
+    params = _build("params", lambda **kw: validate(Parameters(**kw)), p)
+    solver_cfg = _build("solver", sv.SolverConfig, s)
+
+    # unset bases default to the homogeneous equilibrium: u = kappa/mu for
+    # kappa > 0 (else 1) and v = alpha u / beta
+    if params.kappa > 0.0:
+        i.setdefault("base_u", params.kappa / params.mu)
+        i.setdefault("base_v", params.alpha * params.kappa / (params.beta * params.mu))
+    i.setdefault("base_v", params.alpha / params.beta)
+    ic = ICSpec(**i)
+    if ic.kind not in ("constant-plus-perturbation", "gaussian-bump"):
+        raise ConfigError(f"[ic]: unknown kind {ic.kind!r}")
     if ic.base_u < 0 or ic.base_v < 0 or ic.amplitude < 0 or ic.width <= 0:
         raise ConfigError("[ic]: bases and amplitude must be nonnegative, width positive")
 
-    sc = sec["scenario"]
-    name = sc["name"]
-    if name not in SCENARIOS:
-        raise ConfigError(f"[scenario]: unknown scenario {name!r}")
-    cfg = ExperimentConfig(
-        params=params,
-        grid=grid,
-        solver=solver_cfg,
-        ic=ic,
-        scenario=name,
-        convex=_as_bool("scenario", "convex", sc.get("convex", "false")),
-        output_dir=sc.get("output_dir", "out"),
-        seed=_as_int("scenario", "seed", sc.get("seed", "0")),
-        sweep_axis=sc.get("sweep_axis"),
-        sweep_values=(
-            _as_floats("scenario", "sweep_values", sc["sweep_values"])
-            if "sweep_values" in sc
-            else None
-        ),
-        order_grids=(
-            _as_ints("scenario", "grids", sc["grids"]) if "grids" in sc else None
-        ),
-    )
+    if sc["scenario"] not in SCENARIOS:
+        raise ConfigError(f"[scenario]: unknown scenario {sc['scenario']!r}")
+    cfg = ExperimentConfig(params=params, grid=grid, solver=solver_cfg, ic=ic, **sc)
     _check_scenario_constraints(cfg)
     return cfg
 
@@ -346,48 +299,26 @@ def _validate_sweep_axis(axis: str, values: Tuple[float, ...], params: Parameter
             raise ConfigError(f"sweep value {value} inadmissible: {exc}")
 
 
+def _render(value) -> str:
+    if isinstance(value, tuple):
+        return " ".join(_render(v) for v in value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Render a config that parses back to an identical object."""
-    p, g, s, i = cfg.params, cfg.grid, cfg.solver, cfg.ic
-    lines = [
-        "[params]",
-        *(f"{k} = {getattr(p, k)!r}" for k in
-          ("d1", "d2", "chi", "alpha", "beta", "kappa", "mu")),
-        f"n = {p.n}",
-        "",
-        "[grid]",
-        f"dim = {g.dim}",
-        "extents = " + " ".join(repr(e) for e in g.extents),
-        "cells = " + " ".join(str(c) for c in g.cells),
-        "",
-        "[solver]",
-        f"dt_initial = {s.dt_initial!r}",
-        f"dt_min = {s.dt_min!r}",
-        f"t_end = {s.t_end!r}",
-        f"cfl_safety = {s.cfl_safety!r}",
-        f"blowup_linf_threshold = {s.blowup_linf_threshold!r}",
-        f"snapshot_stride = {s.snapshot_stride}",
-        "",
-        "[ic]",
-        f"kind = {i.kind}",
-        f"base_u = {i.base_u!r}",
-        f"base_v = {i.base_v!r}",
-        f"amplitude = {i.amplitude!r}",
-        f"width = {i.width!r}",
-        "",
-        "[scenario]",
-        f"name = {cfg.scenario}",
-        f"convex = {str(cfg.convex).lower()}",
-        f"output_dir = {cfg.output_dir}",
-        f"seed = {cfg.seed}",
-    ]
-    if cfg.sweep_axis is not None:
-        lines.append(f"sweep_axis = {cfg.sweep_axis}")
-    if cfg.sweep_values is not None:
-        lines.append("sweep_values = " + " ".join(repr(v) for v in cfg.sweep_values))
-    if cfg.order_grids is not None:
-        lines.append("grids = " + " ".join(str(c) for c in cfg.order_grids))
-    return "\n".join(lines) + "\n"
+    blocks = []
+    for name, keys in _SCHEMA.items():
+        source = cfg if name == "scenario" else getattr(cfg, name)
+        lines = [f"[{name}]"]
+        for key in keys:
+            value = getattr(source, _FIELD.get(key, key))
+            if value is not None:
+                lines.append(f"{key} = {_render(value)}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -403,27 +334,17 @@ class ScenarioResult:
     output_dir: Path
 
 
-def _build_initial_state(cfg: ExperimentConfig) -> State:
-    return sv.initial_condition(
-        cfg.ic.kind,
-        cfg.grid,
-        base_u=cfg.ic.base_u,
-        base_v=cfg.ic.base_v,
-        amplitude=cfg.ic.amplitude,
-        width=cfg.ic.width,
-        seed=cfg.seed,
-    )
-
-
 def _simulate(cfg: ExperimentConfig, report: th.ThresholdReport):
-    params = cfg.params
+    params, ic = cfg.params, cfg.ic
     source = SourceFunction.standard_logistic(params.kappa, params.mu)
-    state0 = _build_initial_state(cfg)
-    coeffs3 = report.coeffs3 if cfg.grid.dim == 3 else None
-    coeffs45 = report.coeffs45
+    state0 = sv.initial_condition(
+        ic.kind, cfg.grid, base_u=ic.base_u, base_v=ic.base_v,
+        amplitude=ic.amplitude, width=ic.width, seed=cfg.seed,
+    )
     traj = sv.run(
         state0, params, source, cfg.grid, cfg.solver,
-        coeffs3=coeffs3, coeffs45=coeffs45,
+        coeffs3=report.coeffs3 if cfg.grid.dim == 3 else None,
+        coeffs45=report.coeffs45,
     )
     return traj, source, state0
 
@@ -436,18 +357,16 @@ def _zstability(series: diag.DiagnosticsSeries):
     if np.all(np.isnan(z)):
         return None
     t_end = t[-1]
-    early = (0.0, t_end / 3.0)
-    late = (2.0 * t_end / 3.0, t_end)
-    early_mask = (t >= early[0]) & (t <= early[1]) & ~np.isnan(z)
-    late_mask = (t >= late[0]) & (t <= late[1]) & ~np.isnan(z)
+    early_mask = (t >= 0.0) & (t <= t_end / 3.0) & ~np.isnan(z)
+    late_mask = (t >= 2.0 * t_end / 3.0) & (t <= t_end) & ~np.isnan(z)
     if not early_mask.any() or not late_mask.any():
         return None
     early_max = float(np.max(z[early_mask]))
     late_max = float(np.max(z[late_mask]))
     return {
-        "early_max": early_max,
-        "late_max": late_max,
-        "passed": late_max <= 1.05 * early_max,
+        "z3_early_max": early_max,
+        "z3_late_max": late_max,
+        "z3_stable": late_max <= 1.05 * early_max,
     }
 
 
@@ -471,9 +390,9 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     lines: Dict[str, object] = {"scenario": cfg.scenario}
 
     if cfg.scenario == "small-diffusion-sweep":
-        return _run_sweep_scenario(cfg, out, lines)
+        return _finish(out, lines, _sweep_scenario(cfg, lines))
     if cfg.scenario == "manufactured-order":
-        return _run_order_scenario(cfg, out, lines)
+        return _finish(out, lines, _order_scenario(cfg, lines))
 
     report = th.report(cfg.params, cfg.convex)
     _report_thresholds(lines, report)
@@ -497,91 +416,61 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     for index, state in enumerate(traj.states):
         sv.write_snapshot(snap_dir, state, cfg.grid, index)
 
-    if traj.outcome in _STOPPED:
-        code, lines["verdict"] = _STOPPED[traj.outcome]
-        _write_report(out, lines, code)
-        return ScenarioResult(code, traj.outcome, lines, out)
+    passed = traj.outcome not in _STOPPED and _audit_completed_run(
+        cfg, report, traj, source, state0, lines
+    )
+    return _finish(out, lines, passed, traj.outcome)
 
-    passed = _audit_completed_run(cfg, report, traj, source, state0, lines)
-    code = EXIT_PASS if passed else EXIT_AUDIT
-    _write_report(out, lines, code)
-    return ScenarioResult(code, traj.outcome, lines, out)
+
+def _finish(out: Path, lines, passed: bool, outcome: Optional[str] = None):
+    """Record the verdict and exit code, then write report.txt."""
+    code, lines["verdict"] = _STOPPED.get(
+        outcome, (EXIT_PASS, "pass") if passed else (EXIT_AUDIT, "fail")
+    )
+    lines["exit_code"] = code
+    (out / "report.txt").write_text("".join(f"{k}: {v}\n" for k, v in lines.items()))
+    return ScenarioResult(code, outcome, lines, out)
 
 
 def _audit_completed_run(cfg, report, traj, source, state0, lines) -> bool:
-    params, series = cfg.params, traj.diagnostics
-    checks: List[bool] = []
-
-    if source.kind != "zero":
-        u0_mass = float(np.sum(state0.u) * cfg.grid.cell_volume)
-        mass = diag.mass_bound_check(series, source, u0_mass, cfg.grid.volume)
-        lines["mass_bound_pass"] = mass.passed
-        lines["mass_bound_value"] = mass.bound
-        lines["mass_bound_worst_margin"] = mass.worst_margin
-        checks.append(mass.passed)
+    series = traj.diagnostics
+    u0_mass = float(np.sum(state0.u) * cfg.grid.cell_volume)
+    mass = diag.mass_bound_check(series, source, u0_mass, cfg.grid.volume)
+    lines["mass_bound_pass"] = mass.passed
+    lines["mass_bound_value"] = mass.bound
+    lines["mass_bound_worst_margin"] = mass.worst_margin
+    checks = [mass.passed]
 
     if cfg.scenario in ("boundedness", "convex-comparison"):
         lines["clamp_check"] = traj.clamp_total == 0
         checks.append(traj.clamp_total == 0)
         zcheck = _zstability(series)
         if zcheck is not None:
-            lines["z3_early_max"] = zcheck["early_max"]
-            lines["z3_late_max"] = zcheck["late_max"]
-            lines["z3_stable"] = zcheck["passed"]
-            checks.append(zcheck["passed"])
-    elif cfg.scenario == "convergence-positive-kappa":
-        audit = _safe_audit(series, params, report, cfg.grid.dim, lines)
-        if audit is None:
-            return False
-        fit = audit.details["fit"]
-        lines["audit_fit_model"] = fit.model
-        lines["audit_fit_rate"] = fit.rate
-        lines["audit_gamma"] = report.gamma
-        lines["audit_rate_pass"] = audit.passed
-        checks.append(audit.passed)
+            lines.update(zcheck)
+            checks.append(zcheck["z3_stable"])
+        return all(checks)
+
+    # the convergence and decay scenarios; an unusable series (e.g. too few
+    # samples in the fitting window) is a failed audit, not a crash
+    try:
+        audit = diag.convergence_audit(series, cfg.params, report, cfg.grid.dim)
+    except ValueError as exc:
+        lines["audit_error"] = str(exc)
+        return False
+    lines.update(audit.details)
+    lines["audit_rate_pass"] = audit.passed
+    checks.append(audit.passed)
+    if cfg.scenario == "convergence-positive-kappa":
         h_ok, worst = diag.h_monotonicity_check(
             series, tol_factor=1e-8 * cfg.solver.snapshot_stride
         )
         lines["H_monotone"] = h_ok
         lines["H_worst_increase"] = worst
         checks.append(h_ok)
-    elif cfg.scenario == "decay-zero-kappa":
-        audit = _safe_audit(series, params, report, cfg.grid.dim, lines)
-        if audit is None:
-            return False
-        lines["audit_fit_u"] = audit.details["fit_u"].rate
-        lines["audit_fit_v"] = audit.details["fit_v"].rate
-        lines["audit_target_exponent"] = audit.details["target"]
-        lines["audit_rate_pass"] = audit.passed
-        checks.append(audit.passed)
-    elif cfg.scenario == "decay-negative-kappa":
-        audit = _safe_audit(series, params, report, cfg.grid.dim, lines)
-        if audit is None:
-            return False
-        lines["audit_fit_u"] = audit.details["fit_u"].rate
-        lines["audit_fit_v"] = audit.details["fit_v"].rate
-        lines["audit_target_u"] = audit.details["target_u"]
-        lines["audit_target_v"] = audit.details["target_v"]
-        lines["audit_rate_pass"] = audit.passed
-        checks.append(audit.passed)
-
-    verdict = all(checks) if checks else True
-    lines["verdict"] = "pass" if verdict else "fail"
-    return verdict
+    return all(checks)
 
 
-def _safe_audit(series, params, report, dim, lines):
-    """Audit with degradation: an unusable series is a failed audit, not a
-    crash (e.g. too few samples in the fitting window)."""
-    try:
-        return diag.convergence_audit(series, params, report, dim)
-    except ValueError as exc:
-        lines["audit_error"] = str(exc)
-        lines["verdict"] = "fail"
-        return None
-
-
-def _run_order_scenario(cfg, out: Path, lines) -> ScenarioResult:
+def _order_scenario(cfg, lines) -> bool:
     source = (
         SourceFunction.zero()
         if cfg.params.kappa == 0.0 and cfg.params.chi == 0.0
@@ -602,22 +491,16 @@ def _run_order_scenario(cfg, out: Path, lines) -> ScenarioResult:
     lines["orders"] = " ".join("%.4f" % o for o in result.orders)
     lines["observed_order"] = result.observed_order
     if cfg.params.chi == 0.0:
-        passed = abs(result.observed_order - 2.0) <= 0.2
-    else:
-        passed = 0.8 <= result.observed_order <= 2.0
-    lines["verdict"] = "pass" if passed else "fail"
-    code = EXIT_PASS if passed else EXIT_AUDIT
-    _write_report(out, lines, code)
-    return ScenarioResult(code, None, lines, out)
+        return abs(result.observed_order - 2.0) <= 0.2
+    return 0.8 <= result.observed_order <= 2.0
 
 
-def _run_sweep_scenario(cfg, out: Path, lines) -> ScenarioResult:
-    spec = SweepSpec(axis=cfg.sweep_axis, values=cfg.sweep_values, base=cfg)
-    rows = run_sweep(spec)
-    lines["sweep_axis"] = spec.axis
+def _sweep_scenario(cfg, lines) -> bool:
+    rows = run_sweep(cfg, cfg.sweep_axis, cfg.sweep_values)
+    lines["sweep_axis"] = cfg.sweep_axis
     lines["points"] = len(rows)
     passed = all(r["outcome"] == sv.OUTCOME_COMPLETED for r in rows)
-    if spec.axis == "d1":
+    if cfg.sweep_axis == "d1":
         # qualitative small-diffusion trend: late peaks (t >= t_end/3, past
         # the initial transient) grow as d1 shrinks
         pairs = sorted(
@@ -629,10 +512,7 @@ def _run_sweep_scenario(cfg, out: Path, lines) -> ScenarioResult:
         lines["late_linf_u_by_d1"] = " ".join("%.6e" % s for s in peaks)
         lines["trend_nondecreasing_as_d1_shrinks"] = trend
         passed = passed and trend
-    lines["verdict"] = "pass" if passed else "fail"
-    code = EXIT_PASS if passed else EXIT_AUDIT
-    _write_report(out, lines, code)
-    return ScenarioResult(code, None, lines, out)
+    return passed
 
 
 def _report_thresholds(lines, report: th.ThresholdReport) -> None:
@@ -650,33 +530,20 @@ def _report_thresholds(lines, report: th.ThresholdReport) -> None:
             lines[f"{label}_{fld.name}"] = getattr(coeffs, fld.name)
 
 
-def _write_report(out: Path, lines: Dict[str, object], code: int) -> None:
-    lines["exit_code"] = code
-    text = "".join(f"{k}: {v}\n" for k, v in lines.items())
-    (out / "report.txt").write_text(text)
-
-
 # ---------------------------------------------------------------------------
 # Parameter sweeps
 # ---------------------------------------------------------------------------
 
 
 def _sweep_point(args) -> Dict[str, object]:
-    cfg_text, axis, value, point_dir = args
+    base, axis, value, point_dir = args
     row: Dict[str, object] = {"value": value, "outcome": "", "sup_linf_u": "",
                               "late_linf_u": "", "fit_model": "", "fit_rate": "",
                               "mu_gt_mu0": "", "error": ""}
     try:
-        base = parse_config(cfg_text)
-        params = validate(
-            dataclasses.replace(base.params, **{axis: value})
-        )
-        cfg = dataclasses.replace(
-            base, params=params, output_dir=point_dir,
-            scenario="boundedness", sweep_axis=None, sweep_values=None,
-        )
-        report = th.report(params, cfg.convex)
-        traj, _, _ = _simulate(cfg, report)
+        params = validate(dataclasses.replace(base.params, **{axis: value}))
+        report = th.report(params, base.convex)
+        traj, _, _ = _simulate(dataclasses.replace(base, params=params), report)
         series = traj.diagnostics
         Path(point_dir).mkdir(parents=True, exist_ok=True)
         (Path(point_dir) / "diagnostics.csv").write_text(series.to_csv())
@@ -709,22 +576,24 @@ def _sweep_workers(setting: Optional[str], points: int, cpus: int) -> int:
     return min(int(setting), cpus, points)
 
 
-def run_sweep(spec: SweepSpec) -> List[Dict[str, object]]:
-    """Run every sweep point, one output row per requested value in order.
+def run_sweep(
+    base: ExperimentConfig, axis: str, values: Tuple[float, ...]
+) -> List[Dict[str, object]]:
+    """Run base with each value of the parameter axis, one output row per
+    requested value in order; summary.csv goes to base.output_dir.
 
     Points run concurrently up to the KSLAB_WORKERS cap (default: serial);
     per-point failures land in the row's error column.
     """
-    _validate_sweep_axis(spec.axis, spec.values, spec.base.params)
+    _validate_sweep_axis(axis, values, base.params)
     workers = _sweep_workers(
-        os.environ.get("KSLAB_WORKERS"), len(spec.values), os.cpu_count() or 1
+        os.environ.get("KSLAB_WORKERS"), len(values), os.cpu_count() or 1
     )
-    out = Path(spec.base.output_dir)
+    out = Path(base.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg_text = serialize_config(spec.base)
     jobs = [
-        (cfg_text, spec.axis, value, str(out / f"point_{i:03d}"))
-        for i, value in enumerate(spec.values)
+        (base, axis, value, str(out / f"point_{i:03d}"))
+        for i, value in enumerate(values)
     ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -733,15 +602,12 @@ def run_sweep(spec: SweepSpec) -> List[Dict[str, object]]:
         rows = [_sweep_point(job) for job in jobs]
     header = ("value", "outcome", "sup_linf_u", "fit_model", "fit_rate",
               "mu_gt_mu0", "error")
-    lines = [",".join(header)]
-    for row in rows:
-        rendered = []
-        for key in header:
-            value = row[key]
-            if isinstance(value, float):
-                rendered.append("%.17e" % value)
-            else:
-                rendered.append(str(value))
-        lines.append(",".join(rendered))
+    lines = [",".join(header)] + [
+        ",".join(
+            "%.17e" % row[key] if isinstance(row[key], float) else str(row[key])
+            for key in header
+        )
+        for row in rows
+    ]
     (out / "summary.csv").write_text("\n".join(lines) + "\n")
     return rows

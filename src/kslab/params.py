@@ -6,8 +6,8 @@ these as plain data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -17,7 +17,6 @@ __all__ = [
     "Grid",
     "State",
     "validate",
-    "CERT_SAMPLE_GRID",
 ]
 
 
@@ -61,14 +60,6 @@ def validate(params: Parameters) -> Parameters:
     return params
 
 
-# Sample grid for the (a, mu) certificate check: s = 0 plus a geometric
-# ladder from 1e-3 to 1e6 (31 points total).  Decidable and cheap; a false
-# certificate only weakens guarantees the caller opted into.
-CERT_SAMPLE_GRID: np.ndarray = np.concatenate(
-    [[0.0], np.geomspace(1e-3, 1e6, 30)]
-)
-
-
 @dataclass(frozen=True)
 class SourceFunction:
     """Growth source f(u) together with its quadratic-damping certificate.
@@ -76,9 +67,9 @@ class SourceFunction:
     The certificate (a_cert, mu_cert) asserts f(s) <= a_cert - mu_cert * s^2
     for all s >= 0; downstream bounds consume the certificate, not f itself.
 
-    kind is one of:
+    The lab is logistic-only: the config can express no other source, and
+    the logistic certificate is closed form.  kind is one of:
       "standard-logistic"  f(s) = kappa*s - mu*s^2
-      "custom"             user-supplied map with a declared certificate
       "zero"               f == 0, no certificate (discretization validation
                            only; f == 0 admits no quadratic-damping ceiling)
     """
@@ -86,7 +77,6 @@ class SourceFunction:
     kind: str
     kappa: float = 0.0
     mu: float = 0.0
-    fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     a_cert: float = 0.0
     mu_cert: float = 0.0
 
@@ -113,56 +103,19 @@ class SourceFunction:
         )
 
     @staticmethod
-    def custom(
-        fn: Callable[[np.ndarray], np.ndarray], a_cert: float, mu_cert: float
-    ) -> "SourceFunction":
-        if a_cert < 0.0 or mu_cert <= 0.0:
-            raise ValueError("certificate requires a >= 0 and mu > 0")
-        src = SourceFunction(
-            kind="custom", fn=fn, a_cert=a_cert, mu_cert=mu_cert
-        )
-        src.check_certificate()
-        return src
-
-    @staticmethod
     def zero() -> "SourceFunction":
         return SourceFunction(kind="zero")
 
     def __call__(self, s):
-        if self.kind == "standard-logistic":
-            return self.kappa * s - self.mu * s * s
         if self.kind == "zero":
             return np.zeros_like(np.asarray(s, dtype=float))
-        return self.fn(s)
-
-    def check_certificate(self) -> None:
-        """Confirm f(0) >= 0 and f(s) <= a_cert - mu_cert s^2 on CERT_SAMPLE_GRID."""
-        if self.kind == "zero":
-            return
-        s = CERT_SAMPLE_GRID
-        fs = np.asarray(self(s), dtype=float)
-        f0 = float(np.asarray(self(np.asarray([0.0]))).ravel()[0])
-        if f0 < 0.0:
-            raise ValueError(f"source must satisfy f(0) >= 0, got f(0) = {f0}")
-        ceiling = self.a_cert - self.mu_cert * s * s
-        scale = np.maximum(np.abs(fs), np.abs(ceiling)) + 1.0
-        bad = fs > ceiling + 1e-12 * scale
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise ValueError(
-                "certificate violated at s = %g: f(s) = %g > %g"
-                % (s[k], fs[k], ceiling[k])
-            )
+        return self.kappa * s - self.mu * s * s
 
     def lipschitz_bound(self, u: np.ndarray) -> float:
         """Local Lipschitz estimate of f on the values of u (for dt control)."""
-        if self.kind == "standard-logistic":
-            return float(np.max(np.abs(self.kappa - 2.0 * self.mu * u)))
         if self.kind == "zero":
             return 0.0
-        du = 1e-6 * (1.0 + np.abs(u))
-        deriv = (self(u + du) - self(np.maximum(u - du, 0.0))) / (2.0 * du)
-        return float(np.max(np.abs(deriv)))
+        return float(np.max(np.abs(self.kappa - 2.0 * self.mu * u)))
 
 
 @dataclass(frozen=True)

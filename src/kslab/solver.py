@@ -87,8 +87,6 @@ def initial_condition(
     amplitude: float = 0.0,
     width: float = 0.1,
     seed: int = 0,
-    u0: Optional[np.ndarray] = None,
-    v0: Optional[np.ndarray] = None,
 ) -> State:
     """Build a nonnegative initial state.
 
@@ -97,12 +95,7 @@ def initial_condition(
     zero; v = base_v.
     gaussian-bump: u = base_u + amplitude * exp(-r^2 / (2 width^2)) around
     the domain center; v = base_v.
-    custom-field: explicit u0, v0 arrays.
     """
-    if kind == "custom-field":
-        if u0 is None or v0 is None:
-            raise ValueError("custom-field needs u0 and v0 arrays")
-        return State(u=u0, v=v0, t=0.0).check(grid)
     if base_u < 0.0 or base_v < 0.0:
         raise ValueError("base values must be nonnegative")
     if kind == "constant-plus-perturbation":

@@ -64,7 +64,8 @@ def h_objective(n, d1, d2, eps, eta):
     """Objective of the 4/5-D threshold minimization over (eps, eta).
 
     Infinite outside the open rectangle (0, d1) x (0, d2); diverges at every
-    edge, so the minimizer is strictly interior.
+    edge, so the minimizer is strictly interior.  Returns an array of the
+    broadcast shape of eps and eta (0-d for scalars).
     """
     eps = np.asarray(eps, dtype=float)
     eta = np.asarray(eta, dtype=float)
@@ -76,10 +77,7 @@ def h_objective(n, d1, d2, eps, eta):
     t2 = np.sqrt((1.0 / (2.0 * e)) * (1.0 / g + n / (2.0 * d2)))
     bracket = math.sqrt(2.0) + (d1 + d2) / (2.0 * np.sqrt((d1 - e) * (d2 - g)))
     t3 = np.sqrt((1.0 / (d2 - g)) * (2.0 / g + n / (2.0 * d2))) * bracket
-    value = np.where(inside, t1 + t2 + t3, np.inf)
-    if value.ndim == 0:
-        return float(value)
-    return value
+    return np.where(inside, t1 + t2 + t3, np.inf)
 
 
 @dataclass(frozen=True)
@@ -664,11 +662,13 @@ def select_coefficients_45d(params: Parameters, mu: float) -> CoefficientSet45D:
     (eps, eta) pinned to the h-minimizer and eps3 = 1 leave the system
     infeasible for damping rates where other knob choices verify, and
     eps3 = 1 is not even scale-invariant.  So (eps, eta) is seeded from
-    both the h-minimizer and the relaxation's best point, (eps3, eps4) are
-    searched on geometric ladders around scale-aware pivots, and all four
-    knobs are polished jointly by compass search on the worst normalized
-    margin.  Raises when no verifying set exists in the search region; the
-    certified floor from feasibility_floor_45d explains genuine refusals.
+    both the h-minimizer and the relaxation's best point (when its overlap
+    is nonnegative), eps3 runs over 17 geometric steps of chi^2/mu times
+    1e-3 .. 1e3, and _candidates_45d tries 4 delta3 quantiles of its window
+    for each; the set with the best worst normalized margin wins.  There
+    is no further polish.  Raises when no verifying set exists in the
+    search region; the certified floor from feasibility_floor_45d explains
+    genuine refusals.
     """
     validate(params)
     if params.n not in (4, 5):

@@ -1,6 +1,8 @@
-"""Public names resolve, and removed config keys fail by name."""
+"""Public names resolve, removed names stay gone, and removed config keys
+fail by name."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -10,7 +12,19 @@ from pathlib import Path
 import pytest
 
 import kslab
-from kslab.harness import ConfigError, parse_config
+import kslab.harness
+import kslab.params
+from kslab.cli import cli
+from kslab.harness import (
+    _SCHEMA,
+    EXIT_CONFIG,
+    ConfigError,
+    ExperimentConfig,
+    ICSpec,
+    parse_config,
+)
+from kslab.params import Grid, Parameters, SourceFunction
+from kslab.solver import SolverConfig
 
 from test_harness import minimal_cfg
 
@@ -63,3 +77,41 @@ def test_removed_sweep_axis_rejected(tmp_path):
     text += "\nsweep_axis = a\nsweep_values = 0 1\n"
     with pytest.raises(ConfigError, match="sweep axis 'a' is not a parameter field"):
         parse_config(text)
+
+
+def test_schema_keys_are_dataclass_fields():
+    owners = {
+        "params": Parameters, "grid": Grid, "solver": SolverConfig,
+        "ic": ICSpec, "scenario": ExperimentConfig,
+    }
+    renamed = {"name": "scenario", "grids": "order_grids"}
+    assert list(_SCHEMA) == list(owners)
+    for section, keys in _SCHEMA.items():
+        fields = [f.name for f in dataclasses.fields(owners[section])]
+        if section == "scenario":
+            fields = [name for name in fields if name not in ("params", "grid", "solver", "ic")]
+        assert [renamed.get(key, key) for key in keys] == fields
+    assert sum(len(keys) for keys in _SCHEMA.values()) == 29
+
+
+@pytest.mark.parametrize(
+    "owner,name",
+    [
+        (kslab, "SweepSpec"),
+        (kslab.harness, "SweepSpec"),
+        (SourceFunction, "custom"),
+        (SourceFunction, "check_certificate"),
+        (kslab.params, "CERT_SAMPLE_GRID"),
+    ],
+    ids=["kslab.SweepSpec", "harness.SweepSpec", "SourceFunction.custom",
+         "SourceFunction.check_certificate", "params.CERT_SAMPLE_GRID"],
+)
+def test_removed_name_is_gone(owner, name):
+    assert not hasattr(owner, name)
+
+
+def test_custom_field_kind_is_unknown(tmp_path, capsys):
+    path = tmp_path / "cfg.cfg"
+    path.write_text(minimal_cfg(tmp_path, kind="custom-field"))
+    assert cli(["simulate", "--config", str(path)]) == EXIT_CONFIG
+    assert "unknown kind 'custom-field'" in capsys.readouterr().err

@@ -304,7 +304,7 @@ class TestSeriesAndAudit:
         p = unit_params()
         audit = convergence_audit(s, p, self._report(p, gamma=1e-3), dim=3)
         assert audit.passed and audit.regime == "kappa>0"
-        assert audit.details["fit"].rate == pytest.approx(0.8, rel=1e-6)
+        assert audit.details["audit_fit_rate"] == pytest.approx(0.8, rel=1e-6)
 
     def test_audit_zero_kappa(self):
         t = np.arange(0, 40, 0.2)
@@ -314,7 +314,7 @@ class TestSeriesAndAudit:
         )
         audit = convergence_audit(s, p, None, dim=1)
         assert audit.passed
-        assert audit.details["target"] == pytest.approx(0.5)
+        assert audit.details["audit_target_exponent"] == pytest.approx(0.5)
 
     def test_audit_negative_kappa(self):
         t = np.arange(0, 30, 0.1)
@@ -324,8 +324,8 @@ class TestSeriesAndAudit:
         )
         audit = convergence_audit(s, p, None, dim=1)
         assert audit.passed
-        assert audit.details["target_u"] == pytest.approx(0.5)
-        assert audit.details["target_v"] == pytest.approx(0.25)
+        assert audit.details["audit_target_u"] == pytest.approx(0.5)
+        assert audit.details["audit_target_v"] == pytest.approx(0.25)
 
     def test_audit_wrong_regime(self):
         t = np.arange(0, 20, 0.1)

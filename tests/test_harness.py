@@ -14,7 +14,6 @@ from kslab.harness import (
     EXIT_CONFIG,
     EXIT_PASS,
     ConfigError,
-    SweepSpec,
     _sweep_workers,
     parse_config,
     run_scenario,
@@ -121,6 +120,23 @@ class TestParse:
     def test_type_mismatch(self, tmp_path):
         with pytest.raises(ConfigError, match="expected a number"):
             parse_config(minimal_cfg(tmp_path, d2="fast"))
+
+    @pytest.mark.parametrize(
+        "section,key,value,message",
+        [
+            ("params", "d2", "fast", "[params] d2: expected a number, got 'fast'"),
+            ("grid", "cells", "8 x 8", "[grid] cells: expected an integer, got 'x'"),
+            ("solver", "t_end", "inf", "[solver] t_end: expected a finite number, got 'inf'"),
+            ("ic", "width", "wide", "[ic] width: expected a number, got 'wide'"),
+            ("scenario", "seed", "1.5", "[scenario] seed: expected an integer, got '1.5'"),
+        ],
+    )
+    def test_conversion_error_names_section_once(
+        self, tmp_path, section, key, value, message
+    ):
+        with pytest.raises(ConfigError) as info:
+            parse_config(_set_key(minimal_cfg(tmp_path), section, key, value))
+        assert str(info.value) == message
 
     def test_duplicate_key(self, tmp_path):
         with pytest.raises(ConfigError, match="duplicate key"):
@@ -340,8 +356,7 @@ class TestSweep:
 
     def test_rows_in_request_order(self, tmp_path):
         base = self._base(tmp_path)
-        spec = SweepSpec(axis="d1", values=(1.0, 0.5, 0.25), base=base)
-        rows = run_sweep(spec)
+        rows = run_sweep(base, "d1", (1.0, 0.5, 0.25))
         assert [r["value"] for r in rows] == [1.0, 0.5, 0.25]
         summary = Path(base.output_dir) / "summary.csv"
         lines = summary.read_text().strip().split("\n")
@@ -350,24 +365,21 @@ class TestSweep:
 
     def test_mu_sweep_marks_threshold(self, tmp_path):
         cfg = parse_config(minimal_cfg(tmp_path))
-        spec = SweepSpec(axis="mu", values=(6.0, 9.0), base=cfg)
-        rows = run_sweep(spec)
+        rows = run_sweep(cfg, "mu", (6.0, 9.0))
         assert rows[0]["mu_gt_mu0"] == 0  # 6 < 7.743
         assert rows[1]["mu_gt_mu0"] == 1
 
     def test_empty_values_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="empty"):
-            run_sweep(SweepSpec(axis="d1", values=(), base=self._base(tmp_path)))
+            run_sweep(self._base(tmp_path), "d1", ())
 
     def test_inadmissible_value_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="inadmissible"):
-            run_sweep(
-                SweepSpec(axis="d1", values=(1.0, -1.0), base=self._base(tmp_path))
-            )
+            run_sweep(self._base(tmp_path), "d1", (1.0, -1.0))
 
     def test_unknown_axis_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not a parameter field"):
-            run_sweep(SweepSpec(axis="zeta", values=(1.0,), base=self._base(tmp_path)))
+            run_sweep(self._base(tmp_path), "zeta", (1.0,))
 
     def test_blowup_recorded_per_row_not_fatal(self, tmp_path):
         import dataclasses
@@ -376,7 +388,7 @@ class TestSweep:
             base,
             solver=dataclasses.replace(base.solver, blowup_linf_threshold=0.05),
         )
-        rows = run_sweep(SweepSpec(axis="d1", values=(1.0, 0.5), base=base))
+        rows = run_sweep(base, "d1", (1.0, 0.5))
         assert all(r["outcome"] == "blowup-detected" for r in rows)
 
     def test_workers_default_to_serial(self):
@@ -396,7 +408,7 @@ class TestSweep:
     def test_worker_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KSLAB_WORKERS", "2")
         base = self._base(tmp_path)
-        rows = run_sweep(SweepSpec(axis="d1", values=(1.0, 0.5), base=base))
+        rows = run_sweep(base, "d1", (1.0, 0.5))
         assert len(rows) == 2 and all(not r["error"] for r in rows)
 
 

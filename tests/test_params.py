@@ -3,14 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kslab.params import (
-    CERT_SAMPLE_GRID,
-    Grid,
-    Parameters,
-    SourceFunction,
-    State,
-    validate,
-)
+from kslab.params import Grid, Parameters, SourceFunction, State, validate
 
 
 def make_params(**kw):
@@ -72,12 +65,12 @@ class TestSource:
     @given(kappa=st.floats(-5, 5), mu=st.floats(0.05, 20))
     @settings(max_examples=100, deadline=None)
     def test_certificate_holds_on_sample_grid(self, kappa, mu):
+        # f(s) <= a_cert - mu_cert s^2 at s = 0 and on a geometric ladder
         f = SourceFunction.standard_logistic(kappa, mu)
-        f.check_certificate()
-        s = CERT_SAMPLE_GRID
+        s = np.concatenate([[0.0], np.geomspace(1e-3, 1e6, 30)])
         ceiling = f.a_cert - f.mu_cert * s * s
-        values = f(s)
-        assert np.all(values <= ceiling + 1e-9 * (np.abs(ceiling) + 1))
+        assert f(0.0) >= 0.0
+        assert np.all(f(s) <= ceiling + 1e-9 * (np.abs(ceiling) + 1))
 
     def test_certificate_tight_at_vertex(self):
         # equality of the ceiling at s = kappa/mu for positive kappa
@@ -88,20 +81,6 @@ class TestSource:
     def test_nonpositive_kappa_keeps_full_damping(self):
         f = SourceFunction.standard_logistic(kappa=-1.0, mu=2.0)
         assert f.a_cert == 0.0 and f.mu_cert == 2.0
-
-    def test_custom_with_false_certificate_rejected(self):
-        with pytest.raises(ValueError, match="certificate violated"):
-            SourceFunction.custom(lambda s: s, a_cert=0.0, mu_cert=1.0)
-
-    def test_custom_with_negative_origin_rejected(self):
-        with pytest.raises(ValueError, match="f\\(0\\)"):
-            SourceFunction.custom(lambda s: s - 1.0, a_cert=2.0, mu_cert=0.1)
-
-    def test_custom_valid(self):
-        f = SourceFunction.custom(
-            lambda s: 1.0 - 0.5 * s * s, a_cert=1.0, mu_cert=0.5
-        )
-        assert f(2.0) == -1.0
 
     def test_zero_source(self):
         f = SourceFunction.zero()

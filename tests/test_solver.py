@@ -75,9 +75,7 @@ class TestInitialCondition:
     def test_custom_field_negative_rejected(self):
         g = Grid(dim=1, extents=(1.0,), cells=(4,))
         with pytest.raises(ValueError, match="nonnegative"):
-            initial_condition(
-                "custom-field", g, u0=np.array([1, -1, 1, 1.0]), v0=np.zeros(4)
-            )
+            State(u=np.array([1, -1, 1, 1.0]), v=np.zeros(4), t=0.0).check(g)
 
     def test_unknown_kind(self):
         g = Grid(dim=1, extents=(1.0,), cells=(4,))
