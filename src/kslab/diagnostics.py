@@ -38,77 +38,87 @@ SUPPORTED_P = (1, 2, 3, 4, 6, math.inf)
 
 
 def lp_norm(fld: np.ndarray, p, grid: Grid) -> float:
-    """Midpoint-rule L^p norm; max norm for p = inf."""
+    """Midpoint-rule L^p norm, sum |f|^p as <|f|^a, |f|^b>; max for p = inf."""
     if p not in SUPPORTED_P:
         raise ValueError(f"unsupported norm order p = {p}")
-    fld = np.asarray(fld, dtype=float)
+    a = np.abs(np.asarray(fld, dtype=float))
     if p == math.inf:
-        return float(np.max(np.abs(fld)))
-    return float(
-        (np.sum(np.abs(fld) ** p) * grid.cell_volume) ** (1.0 / p)
-    )
+        return float(np.max(a))
+    x = a if p < 4 else a * a
+    total = np.sum(a) if p == 1 else np.vdot(x, x if p in (2, 4) else x * x)
+    return float((total * grid.cell_volume) ** (1.0 / p))
 
 
-def face_gradients(v: np.ndarray, grid: Grid) -> List[np.ndarray]:
-    """Difference quotients of v on the interior faces of each axis."""
-    return [
-        np.diff(v, axis=axis) / grid.spacing[axis] for axis in range(grid.dim)
-    ]
+def face_gradients(v: np.ndarray, grid: Grid, out=None) -> List[np.ndarray]:
+    """Face difference quotients of v per axis; into out (an earlier result) if given."""
+    if out is None:  # shaped by np.diff; the loop writes the values
+        out = [np.diff(v, axis=k) for k in range(v.ndim)]
+    for k, g in enumerate(out):
+        pre = (slice(None),) * k
+        np.subtract(v[pre + (slice(1, None),)], v[pre + (slice(-1),)], out=g)
+        g /= grid.spacing[k]
+    return out
 
 
-def grad_magnitude_squared(v: np.ndarray, grid: Grid) -> np.ndarray:
-    """Cell-centered |grad v|^2 from averaged face differences.
-
-    Boundary faces carry zero difference, matching the no-flux closure of
-    the solver, so the reconstruction is consistent with the dynamics.
-    """
+def grad_magnitude_squared(v: np.ndarray, grid: Grid, out=None, tmp=None) -> np.ndarray:
+    """Cell-centered |grad v|^2 from central differences (v_{i+1} - v_{i-1})
+    / 2h with v_{-1} = v_0 and v_n = v_{n-1}: the average of the two face
+    differences around a cell, with zero difference on the boundary faces
+    (the solver's no-flux closure).  out and tmp (contiguous, shaped like
+    v) take the result and the per-axis differences when given."""
     v = np.asarray(v, dtype=float)
-    total = np.zeros_like(v)
-    for axis, faces in enumerate(face_gradients(v, grid)):
-        padded = np.zeros(
-            tuple(c + 1 if k == axis else c for k, c in enumerate(v.shape))
-        )
-        inner = tuple(
-            slice(1, -1) if k == axis else slice(None) for k in range(v.ndim)
-        )
-        padded[inner] = faces
-        lo = tuple(
-            slice(None, -1) if k == axis else slice(None) for k in range(v.ndim)
-        )
-        hi = tuple(
-            slice(1, None) if k == axis else slice(None) for k in range(v.ndim)
-        )
-        total += (0.5 * (padded[lo] + padded[hi])) ** 2
-    return total
+    out, tmp = (np.empty_like(v) if a is None else a for a in (out, tmp))
+    for axis in range(v.ndim):
+        def at(*bounds):
+            return (slice(None),) * axis + (slice(*bounds),)
+        np.subtract(v[at(2, None)], v[at(-2)], out=tmp[at(1, -1)])
+        np.subtract(v[at(1, 2)], v[at(1)], out=tmp[at(1)])
+        np.subtract(v[at(-1, None)], v[at(-2, -1)], out=tmp[at(-1, None)])
+        tmp *= 0.5 / grid.spacing[axis]
+        np.multiply(tmp, tmp, out=tmp if axis else out)
+        if axis:
+            out += tmp
+    return out
+
+
+def _moments(state: State, grid: Grid, scratch=None, c3=None, c45=None) -> Dict:
+    """Cell sums of products of u and g = |grad v|^2 keyed by their factors
+    ("ugg" sums u g^2), "|u|^3", and "z3" / "z45" (over the cell volume) for
+    the coefficient sets given; scratch is two fields, for g and for work."""
+    u = state.u
+    g, a = scratch or (np.empty_like(u), np.empty_like(u))
+    grad_magnitude_squared(state.v, grid, out=g, tmp=a)
+    m = {"g": np.sum(g), "ug": np.vdot(u, g)}
+    np.multiply(g, g, out=a)
+    m.update(gg=np.sum(a), ggg=np.vdot(a, g), ugg=np.vdot(u, a))
+    np.multiply(u, u, out=a)
+    m.update(uu=np.sum(a), uuu=np.vdot(a, u), uug=np.vdot(a, g))
+    m["|u|^3"] = np.vdot(a, np.abs(u, out=g))
+    if c3:
+        m["z3"] = c3.delta1 * m["uu"] + c3.delta2 * m["ug"] + c3.delta3 * m["gg"]
+    if c45:
+        m["z45"] = (c45.delta1 * m["uuu"] + c45.delta2 * m["uug"]
+                    + c45.delta3 * m["ugg"] + c45.delta4 * m["ggg"])
+    return m
 
 
 def functional_z3(state: State, grid: Grid, c: CoefficientSet3D) -> float:
     """delta1 int u^2 + delta2 int u |grad v|^2 + delta3 int |grad v|^4."""
-    g2 = grad_magnitude_squared(state.v, grid)
-    u = state.u
-    integrand = c.delta1 * u * u + c.delta2 * u * g2 + c.delta3 * g2 * g2
-    return float(np.sum(integrand) * grid.cell_volume)
+    return float(_moments(state, grid, c3=c)["z3"] * grid.cell_volume)
 
 
 def functional_z45(state: State, grid: Grid, c: CoefficientSet45D) -> float:
     """Four-term coupled functional with cubic leading weight."""
-    g2 = grad_magnitude_squared(state.v, grid)
-    u = state.u
-    integrand = (
-        c.delta1 * u**3
-        + c.delta2 * u * u * g2
-        + c.delta3 * u * g2 * g2
-        + c.delta4 * g2**3
-    )
-    return float(np.sum(integrand) * grid.cell_volume)
+    return float(_moments(state, grid, c45=c)["z45"] * grid.cell_volume)
 
 
-def lyapunov_H(state: State, params: Parameters, grid: Grid) -> float:
+def lyapunov_H(state: State, params: Parameters, grid: Grid, scratch=None) -> float:
     """Entropy-like distance to the positive equilibrium.
 
     H = int (u - c - c ln(u/c)) + delta int (v - alpha kappa/(beta mu))^2
     with c = kappa/mu and delta = kappa chi^2 / (8 d1 d2 mu); nonnegative,
     zero exactly at the equilibrium.  Requires kappa > 0 and u > 0.
+    scratch is two fields to work in instead of fresh ones.
     """
     if params.kappa <= 0.0:
         raise ValueError("H is defined only for kappa > 0")
@@ -120,9 +130,11 @@ def lyapunov_H(state: State, params: Parameters, grid: Grid) -> float:
     delta = params.kappa * params.chi**2 / (
         8.0 * params.d1 * params.d2 * params.mu
     )
-    entropy = u - c - c * np.log(u / c)
-    quad = (state.v - v_eq) ** 2
-    return float((np.sum(entropy) + delta * np.sum(quad)) * grid.cell_volume)
+    a, b = scratch or (np.empty_like(u), np.empty_like(u))
+    np.multiply(np.log(np.divide(u, c, out=a), out=a), c, out=a)
+    np.subtract(np.subtract(u, c, out=b), a, out=b)  # u - c - c ln(u/c)
+    np.subtract(state.v, v_eq, out=a)
+    return float((np.sum(b) + delta * np.vdot(a, a)) * grid.cell_volume)
 
 
 CSV_COLUMNS = (
@@ -152,6 +164,7 @@ class DiagnosticsSeries:
     columns: Dict[str, list] = field(
         default_factory=lambda: {name: [] for name in CSV_COLUMNS + _AUDIT_COLUMNS}
     )
+    _scratch: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @property
     def times(self) -> List[float]:
@@ -166,29 +179,34 @@ class DiagnosticsSeries:
         coeffs3: Optional[CoefficientSet3D] = None,
         coeffs45: Optional[CoefficientSet45D] = None,
     ) -> None:
+        """Append one row.  |grad v|^2 and the sums of powers are formed once
+        (_moments) in two reused scratch fields; sup norms come from extremes."""
         u, v = state.u, state.v
-        gmag = np.sqrt(grad_magnitude_squared(v, grid))
+        if not self._scratch or self._scratch[0].shape != u.shape:
+            self._scratch = (np.empty(u.shape), np.empty(u.shape))
+        m = _moments(state, grid, self._scratch, coeffs3, coeffs45)
+        vol = grid.cell_volume
+        u_lo, u_hi, v_lo, v_hi = u.min(), u.max(), v.min(), v.max()
         row = {
-            "t": float(state.t), "mass_u": float(np.sum(u) * grid.cell_volume),
-            "L2_u": lp_norm(u, 2, grid), "L3_u": lp_norm(u, 3, grid),
-            "Linf_u": lp_norm(u, math.inf, grid),
-            "L2_gradv": lp_norm(gmag, 2, grid), "L4_gradv": lp_norm(gmag, 4, grid),
-            "L6_gradv": lp_norm(gmag, 6, grid),
-            "z3": functional_z3(state, grid, coeffs3) if coeffs3 else math.nan,
-            "z45": functional_z45(state, grid, coeffs45) if coeffs45 else math.nan,
-            "H": math.nan, "clamp_count": int(clamp_total),
-            "Linf_v": lp_norm(v, math.inf, grid),
+            "t": float(state.t), "mass_u": float(np.sum(u) * vol),
+            "L2_u": (m["uu"] * vol) ** 0.5, "L3_u": (m["|u|^3"] * vol) ** (1 / 3),
+            "Linf_u": max(u_hi, -u_lo), "L2_gradv": (m["g"] * vol) ** 0.5,
+            "L4_gradv": (m["gg"] * vol) ** 0.25, "L6_gradv": (m["ggg"] * vol) ** (1 / 6),
+            "z3": m["z3"] * vol if coeffs3 else math.nan,
+            "z45": m["z45"] * vol if coeffs45 else math.nan,
+            "H": math.nan, "clamp_count": int(clamp_total), "Linf_v": max(v_hi, -v_lo),
             "dev_linf_u": math.nan, "dev_linf_v": math.nan,
         }
         if params.kappa > 0.0:
-            if np.min(u) > VACUUM_FLOOR:
-                row["H"] = lyapunov_H(state, params, grid)
+            if u_lo > VACUUM_FLOOR:
+                row["H"] = lyapunov_H(state, params, grid, self._scratch)
             u_eq = params.kappa / params.mu
             v_eq = params.alpha * params.kappa / (params.beta * params.mu)
-            row["dev_linf_u"] = float(np.max(np.abs(u - u_eq)))
-            row["dev_linf_v"] = float(np.max(np.abs(v - v_eq)))
+            # exact: |x - c| over a field peaks at the field's min or max
+            row["dev_linf_u"] = max(u_hi - u_eq, u_eq - u_lo)
+            row["dev_linf_v"] = max(v_hi - v_eq, v_eq - v_lo)
         for name, value in row.items():
-            self.columns[name].append(value)
+            self.columns[name].append(value if name == "clamp_count" else float(value))
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.columns:

@@ -600,8 +600,8 @@ def run_sweep(
             rows = list(pool.map(_sweep_point, jobs))
     else:
         rows = [_sweep_point(job) for job in jobs]
-    header = ("value", "outcome", "sup_linf_u", "fit_model", "fit_rate",
-              "mu_gt_mu0", "error")
+    header = ("value", "outcome", "sup_linf_u", "late_linf_u", "fit_model",
+              "fit_rate", "mu_gt_mu0", "error")
     lines = [",".join(header)] + [
         ",".join(
             "%.17e" % row[key] if isinstance(row[key], float) else str(row[key])

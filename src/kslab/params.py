@@ -106,16 +106,19 @@ class SourceFunction:
     def zero() -> "SourceFunction":
         return SourceFunction(kind="zero")
 
-    def __call__(self, s):
+    def __call__(self, s, out=None):
+        """f(s), as (kappa - mu s) s; into out (not overlapping s) if given."""
         if self.kind == "zero":
-            return np.zeros_like(np.asarray(s, dtype=float))
-        return self.kappa * s - self.mu * s * s
+            return np.multiply(s, 0.0, out=out)
+        f = np.add(np.multiply(s, -self.mu, out=out), self.kappa, out=out)
+        return np.multiply(f, s, out=out)
 
     def lipschitz_bound(self, u: np.ndarray) -> float:
-        """Local Lipschitz estimate of f on the values of u (for dt control)."""
+        """Local Lipschitz estimate max |kappa - 2 mu s| over u (for dt control);
+        monotone in s, also rounded, so it peaks at min(u) or max(u)."""
         if self.kind == "zero":
             return 0.0
-        return float(np.max(np.abs(self.kappa - 2.0 * self.mu * u)))
+        return float(max(abs(self.kappa - 2.0 * self.mu * x) for x in (u.min(), u.max())))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,9 @@ Diffusion is implicit, one axis at a time, by multiplying each line with
 the cached dense inverse of its constant-coefficient line matrix (2n flops
 per cell per axis for lines of n cells); the chemotactic flux is explicit
 first-order upwind in conservative form, and reactions are explicit.
+A step takes its intermediates (face gradients of v, one scratch field) and
+its output (u, v) pair from a workspace: run keeps one with two pairs that
+alternate, so a warm run allocates no full-grid arrays; step alone stays pure.
 """
 
 from __future__ import annotations
@@ -137,7 +140,8 @@ def compute_dt(
     update is therefore clamp-free for cfl <= 1/3; above that, a signal
     with steep gradients on both sides of a cell can drive the cell
     negative, and step clamps and counts it.  Implicit diffusion adds no
-    restriction.
+    restriction.  max|dv| and L come from the extremes of the face gradients
+    and of u: no |.| copies, and exact, so dt is bit-identical.
     """
     if face_grads is None:
         face_grads = face_gradients(state.v, grid)
@@ -145,7 +149,7 @@ def compute_dt(
     abs_chi = abs(params.chi)
     if abs_chi > 0.0:
         for axis, g in enumerate(face_grads):
-            gmax = float(np.max(np.abs(g))) if g.size else 0.0
+            gmax = float(max(g.max(), -g.min())) if g.size else 0.0
             speed = grid.dim * abs_chi * gmax  # 0 on underflow, not only at rest
             if speed > 0.0:
                 dt = min(dt, cfg.cfl_safety * grid.spacing[axis] / speed)
@@ -155,25 +159,21 @@ def compute_dt(
     return dt
 
 
-def _advection_divergence(
-    u: np.ndarray, face_grads: List[np.ndarray], chi: float, grid: Grid
-) -> np.ndarray:
-    """div(chi u grad v) with upwind u on faces; zero boundary flux."""
-    div = np.zeros_like(u)
-    for axis, g in enumerate(face_grads):
-        lo = tuple(
-            slice(None, -1) if k == axis else slice(None)
-            for k in range(u.ndim)
-        )
-        hi = tuple(
-            slice(1, None) if k == axis else slice(None) for k in range(u.ndim)
-        )
-        w = chi * g
-        flux = w * np.where(w > 0.0, u[lo], u[hi])
-        h = grid.spacing[axis]
-        div[lo] += flux / h
-        div[hi] -= flux / h
-    return div
+def _subtract_advection(du, u, face_grads: List[np.ndarray], chi: float, grid: Grid, tmp):
+    """du -= div(chi u grad v) with upwind u on faces; zero boundary flux.
+    With w = chi g / h, the flux over h, w * (u_lo if w > 0 else u_hi), is
+    max(w, 0) u_lo + min(w, 0) u_hi: no gather.  It overwrites face_grads;
+    tmp is a scratch field."""
+    for axis, w in enumerate(face_grads):
+        lo, hi = ((slice(None),) * axis + (s,) for s in (slice(-1), slice(1, None)))
+        w *= chi / grid.spacing[axis]
+        up = np.maximum(w, 0.0, out=tmp.reshape(-1)[: w.size].reshape(w.shape))
+        up *= u[lo]
+        np.minimum(w, 0.0, out=w)
+        w *= u[hi]
+        w += up
+        du[lo] -= w
+        du[hi] += w
 
 
 @lru_cache(maxsize=8)
@@ -192,8 +192,8 @@ def _line_inverse(n: int, theta: float) -> np.ndarray:
     return inv
 
 
-def _implicit_diffusion(f: np.ndarray, coef: float, dt: float, grid: Grid) -> np.ndarray:
-    """Sequential per-axis solves of (I - dt coef Lap_axis) x = f.
+def _implicit_diffusion(f: np.ndarray, coef: float, dt: float, grid: Grid, tmp) -> np.ndarray:
+    """Sequential per-axis solves of (I - dt coef Lap_axis) x = f, in place.
 
     Each axis is one matrix product with the line inverse cached per
     (cells on the axis, theta = dt coef / h_axis^2): 2n flops per cell per
@@ -201,22 +201,25 @@ def _implicit_diffusion(f: np.ndarray, coef: float, dt: float, grid: Grid) -> np
     make each line matrix an M-matrix with unit row sums, so the discrete
     mass is conserved up to rounding for any dt.  The products act on the
     deviation from the first cell's value, which makes constants exact
-    fixed points: rounded products alone miss them by an ulp or so.
+    fixed points: rounded products alone miss them by an ulp or so.  The
+    products alternate between f and tmp (contiguous) so the last lands in f.
     """
     if coef <= 0.0 or dt <= 0.0:
         return f
     base = f.flat[0]
-    out = f - base
     shape = f.shape
+    src, dst = (f, tmp) if f.ndim % 2 == 0 else (tmp, f)
+    np.subtract(f, base, out=src)
     for axis, n in enumerate(shape):
         inv = _line_inverse(n, dt * coef / grid.spacing[axis] ** 2)
         if axis == f.ndim - 1:  # lines as rows; inv is symmetric
-            out = out.reshape(-1, n) @ inv
+            np.matmul(src.reshape(-1, n), inv, out=dst.reshape(-1, n))
         else:
-            out = inv @ out.reshape(math.prod(shape[:axis]), n, -1)
-        out = out.reshape(shape)
-    out += base
-    return out
+            lines = (math.prod(shape[:axis]), n, -1)
+            np.matmul(inv, src.reshape(lines), out=dst.reshape(lines))
+        src, dst = dst, src
+    f += base
+    return f
 
 
 @dataclass(frozen=True)
@@ -224,6 +227,16 @@ class StepInfo:
     dt: float
     clamped: int
     dt_collapse: bool = False
+    peaks: Tuple[float, float] = (0.0, 0.0)  # max u, max v after the clamp
+
+
+class _Workspace:
+    """Intermediates of steps on one grid shape; see the module notes."""
+
+    def __init__(self, shape: Tuple[int, ...], pairs: int):
+        self.faces: Optional[List[np.ndarray]] = None  # set by face_gradients
+        self.tmp = np.empty(shape)
+        self.pairs = [(np.empty(shape), np.empty(shape)) for _ in range(pairs)]
 
 
 ForcingFn = Callable[[Tuple[np.ndarray, ...], float], np.ndarray]
@@ -238,41 +251,46 @@ def step(
     forcing_u: Optional[ForcingFn] = None,
     forcing_v: Optional[ForcingFn] = None,
     mesh: Optional[Tuple[np.ndarray, ...]] = None,
+    *,
+    work: Optional[_Workspace] = None,
 ) -> Tuple[State, StepInfo]:
     """Advance one adaptive step; the homogeneous equilibrium is an exact
-    fixed point of the update."""
-    face_grads = face_gradients(state.v, grid)
-    dt_cfl = compute_dt(state, params, source, cfg, grid, face_grads)
+    fixed point of the update.  run passes its workspace as work, and the
+    result lives in the pair not holding state.u until the step after next.
+    """
+    u, v = state.u, state.v
+    work = work or _Workspace(u.shape, pairs=1)
+    faces = work.faces = face_gradients(v, grid, work.faces)
+    dt_cfl = compute_dt(state, params, source, cfg, grid, faces)
     if dt_cfl < cfg.dt_min:
         return state, StepInfo(dt=0.0, clamped=0, dt_collapse=True)
     remaining = cfg.t_end - state.t
     dt = min(dt_cfl, remaining) if remaining > 0.0 else dt_cfl
 
-    u, v = state.u, state.v
-    du = source(u)
-    dv = -params.beta * v + params.alpha * u
+    new_u, new_v = next(pair for pair in work.pairs if pair[0] is not u)
+    source(u, out=new_u)
     if params.chi != 0.0:
-        du = du - _advection_divergence(u, face_grads, params.chi, grid)
-    if forcing_u is not None or forcing_v is not None:
-        if mesh is None:
-            mesh = grid.meshgrid()
-        if forcing_u is not None:
-            du = du + forcing_u(mesh, state.t)
-        if forcing_v is not None:
-            dv = dv + forcing_v(mesh, state.t)
-    u = u + dt * du
-    v = v + dt * dv
-    u = _implicit_diffusion(u, params.d1, dt, grid)
-    v = _implicit_diffusion(v, params.d2, dt, grid)
-
-    clamped = int(np.count_nonzero(u < -CLAMP_TOLERANCE)) + int(
-        np.count_nonzero(v < -CLAMP_TOLERANCE)
-    )
-    if np.min(u) < 0.0:
-        u = np.maximum(u, 0.0)
-    if np.min(v) < 0.0:
-        v = np.maximum(v, 0.0)
-    return State(u=u, v=v, t=state.t + dt), StepInfo(dt=dt, clamped=clamped)
+        _subtract_advection(new_u, u, faces, params.chi, grid, work.tmp)
+    np.multiply(v, -params.beta, out=new_v)
+    new_v += np.multiply(u, params.alpha, out=work.tmp)
+    if mesh is None and (forcing_u or forcing_v):
+        mesh = grid.meshgrid()
+    for new, forcing in ((new_u, forcing_u), (new_v, forcing_v)):
+        if forcing is not None:
+            new += forcing(mesh, state.t)
+    clamped, peaks = 0, []
+    for new, old, coef in ((new_u, u, params.d1), (new_v, v, params.d2)):
+        new *= dt
+        new += old
+        _implicit_diffusion(new, coef, dt, grid, work.tmp)
+        low = new.min()  # NaN: the field's clamps are still counted
+        if not low >= -CLAMP_TOLERANCE:
+            clamped += int(np.count_nonzero(new < -CLAMP_TOLERANCE))
+        if low < 0.0:
+            np.maximum(new, 0.0, out=new)
+        peaks.append(float(new.max()))
+    info = StepInfo(dt=dt, clamped=clamped, peaks=tuple(peaks))
+    return State(u=new_u, v=new_v, t=state.t + dt), info
 
 
 def run(
@@ -287,11 +305,13 @@ def run(
     forcing_v: Optional[ForcingFn] = None,
 ) -> Trajectory:
     """March to t_end, blow-up, dt collapse, or a non-finite u or v,
-    sampling diagnostics every snapshot_stride steps.  The trajectory keeps
-    the initial and final states only, so memory does not grow with the
-    run length; a non-finite final state is kept but not sampled.
+    sampling diagnostics every snapshot_stride steps and at blow-up.  The
+    trajectory keeps the initial and final states only, so memory does not
+    grow with the run length, and never writes into state0's arrays; a
+    non-finite final state is kept but not sampled.
     """
     state = state0.check(grid)
+    work = _Workspace(grid.cells, pairs=2)
     series = DiagnosticsSeries()
     clamp_total = 0
     series.sample(state, grid, params, clamp_total, coeffs3, coeffs45)
@@ -307,21 +327,20 @@ def run(
         )
     while state.t < cfg.t_end - end_tol:
         state, info = step(
-            state, params, source, cfg, grid, forcing_u, forcing_v, mesh
+            state, params, source, cfg, grid, forcing_u, forcing_v, mesh, work=work
         )
         if info.dt_collapse:
             outcome = OUTCOME_DT_COLLAPSE
             break
         steps += 1
         clamp_total += info.clamped
-        peak = float(np.max(state.u))
-        if not (math.isfinite(peak) and math.isfinite(float(np.max(state.v)))):
+        if not all(map(math.isfinite, info.peaks)):
             outcome = OUTCOME_NONFINITE
             break
-        if steps % cfg.snapshot_stride == 0 and state.t < cfg.t_end - end_tol:
+        blowup = info.peaks[0] > cfg.blowup_linf_threshold
+        if blowup or (steps % cfg.snapshot_stride == 0 and state.t < cfg.t_end - end_tol):
             series.sample(state, grid, params, clamp_total, coeffs3, coeffs45)
-        if peak > cfg.blowup_linf_threshold:
-            series.sample(state, grid, params, clamp_total, coeffs3, coeffs45)
+        if blowup:
             outcome = OUTCOME_BLOWUP
             break
     if outcome == OUTCOME_COMPLETED:

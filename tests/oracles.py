@@ -2,11 +2,16 @@
 
 These deliberately avoid the library's own search routines: the h oracle
 is a dense uniform grid scan with local refinement, nothing smarter, and
-the compass oracle polls one point per objective call.
+the compass oracle polls one point per objective call.  The step and
+sample oracles are the solver and diagnostics formulas as first written,
+one fresh array per intermediate.
 """
+
+import math
 
 import numpy as np
 
+from kslab.solver import CLAMP_TOLERANCE, _line_inverse
 from kslab.thresholds import h_objective
 
 
@@ -71,3 +76,104 @@ def compass_reference(f, d1, d2):
         sx *= 0.5
         sy *= 0.5
     return (fx, x, y), moved_iterations
+
+
+def _two_slices(axis, ndim):
+    lo = tuple(slice(None, -1) if k == axis else slice(None) for k in range(ndim))
+    hi = tuple(slice(1, None) if k == axis else slice(None) for k in range(ndim))
+    return lo, hi
+
+
+def _diffusion_reference(f, coef, dt, grid):
+    """Per-axis products with the cached line inverses, into new arrays."""
+    base = f.flat[0]
+    out = f - base
+    shape = f.shape
+    for axis, n in enumerate(shape):
+        inv = _line_inverse(n, dt * coef / grid.spacing[axis] ** 2)
+        if axis == f.ndim - 1:
+            out = out.reshape(-1, n) @ inv
+        else:
+            out = inv @ out.reshape(math.prod(shape[:axis]), n, -1)
+        out = out.reshape(shape)
+    return out + base
+
+
+def step_reference(state, params, source, cfg, grid):
+    """One unforced step: dt from the maxima of |grad v| and of
+    |kappa - 2 mu u|, the upwind flux by np.where, the divergence as two
+    slice updates of a zero array, reaction kappa u - mu u^2.
+
+    Returns (u, v, dt, clamp_u, clamp_v): the clamped fields and the masks
+    of cells below -CLAMP_TOLERANCE before the clamp.
+    """
+    u, v, chi = state.u, state.v, params.chi
+    faces = [np.diff(v, axis=k) / grid.spacing[k] for k in range(grid.dim)]
+    dt = cfg.dt_initial
+    for axis, g in enumerate(faces):
+        speed = grid.dim * abs(chi) * float(np.max(np.abs(g)))
+        if speed > 0.0:
+            dt = min(dt, cfg.cfl_safety * grid.spacing[axis] / speed)
+    lipschitz = float(np.max(np.abs(source.kappa - 2.0 * source.mu * u)))
+    dt = min(dt, cfg.cfl_safety / max(lipschitz, params.beta))
+    dt = min(dt, cfg.t_end - state.t)
+    du = source.kappa * u - source.mu * u * u
+    dv = -params.beta * v + params.alpha * u
+    div = np.zeros_like(u)
+    for axis, g in enumerate(faces):
+        lo, hi = _two_slices(axis, u.ndim)
+        w = chi * g
+        flux = w * np.where(w > 0.0, u[lo], u[hi])
+        div[lo] += flux / grid.spacing[axis]
+        div[hi] -= flux / grid.spacing[axis]
+    u = _diffusion_reference(u + dt * (du - div), params.d1, dt, grid)
+    v = _diffusion_reference(v + dt * dv, params.d2, dt, grid)
+    clamp_u, clamp_v = u < -CLAMP_TOLERANCE, v < -CLAMP_TOLERANCE
+    return np.maximum(u, 0.0), np.maximum(v, 0.0), dt, clamp_u, clamp_v
+
+
+def grad_squared_reference(v, grid):
+    """|grad v|^2 as the square of the averaged face differences, with the
+    boundary faces padded by zeros."""
+    total = np.zeros_like(v)
+    for axis, g in enumerate(np.diff(v, axis=k) / grid.spacing[k] for k in range(v.ndim)):
+        padded = np.zeros(tuple(c + (k == axis) for k, c in enumerate(v.shape)))
+        padded[tuple(slice(1, -1) if k == axis else slice(None) for k in range(v.ndim))] = g
+        lo, hi = _two_slices(axis, v.ndim)
+        total += (0.5 * (padded[lo] + padded[hi])) ** 2
+    return total
+
+
+def sample_reference(state, grid, params, c3, c45):
+    """The numeric diagnostics columns from np.abs(f) ** p norms, a fresh
+    |grad v|^2 per functional and pointwise integrands."""
+    u, v, vol = state.u, state.v, grid.cell_volume
+
+    def norm(f, p):
+        if p == math.inf:
+            return float(np.max(np.abs(f)))
+        return float((np.sum(np.abs(f) ** p) * vol) ** (1.0 / p))
+
+    g2 = grad_squared_reference(v, grid)
+    gmag = np.sqrt(g2)
+    row = {
+        "mass_u": float(np.sum(u) * vol), "L2_u": norm(u, 2), "L3_u": norm(u, 3),
+        "Linf_u": norm(u, math.inf), "L2_gradv": norm(gmag, 2),
+        "L4_gradv": norm(gmag, 4), "L6_gradv": norm(gmag, 6),
+        "z3": float(np.sum(c3.delta1 * u * u + c3.delta2 * u * g2
+                           + c3.delta3 * g2 * g2) * vol),
+        "z45": float(np.sum(c45.delta1 * u**3 + c45.delta2 * u * u * g2
+                            + c45.delta3 * u * g2 * g2 + c45.delta4 * g2**3) * vol),
+        "Linf_v": norm(v, math.inf),
+        "H": math.nan, "dev_linf_u": math.nan, "dev_linf_v": math.nan,
+    }
+    if params.kappa > 0.0:
+        c = params.kappa / params.mu
+        v_eq = params.alpha * params.kappa / (params.beta * params.mu)
+        if np.min(u) > 1e-12:
+            delta = params.kappa * params.chi**2 / (8.0 * params.d1 * params.d2 * params.mu)
+            entropy = u - c - c * np.log(u / c)
+            row["H"] = float((np.sum(entropy) + delta * np.sum((v - v_eq) ** 2)) * vol)
+        row["dev_linf_u"] = float(np.max(np.abs(u - c)))
+        row["dev_linf_v"] = float(np.max(np.abs(v - v_eq)))
+    return row

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import os
@@ -362,6 +363,23 @@ class TestSweep:
         lines = summary.read_text().strip().split("\n")
         assert lines[0].startswith("value,outcome,sup_linf_u")
         assert len(lines) == 4
+
+    def test_summary_late_peak_matches_point_diagnostics(self, tmp_path):
+        base = self._base(tmp_path)
+        run_sweep(base, "d1", (1.0, 0.25))
+        with open(Path(base.output_dir) / "summary.csv", newline="") as fh:
+            reader = csv.DictReader(fh)
+            assert reader.fieldnames[:4] == ["value", "outcome", "sup_linf_u", "late_linf_u"]
+            summary = list(reader)
+        for i, row in enumerate(summary):
+            with open(Path(base.output_dir) / f"point_{i:03d}" / "diagnostics.csv",
+                      newline="") as fh:
+                diag = list(csv.DictReader(fh))
+            t = np.array([float(r["t"]) for r in diag])
+            linf = np.array([float(r["Linf_u"]) for r in diag])
+            assert float(row["sup_linf_u"]) == linf.max()
+            assert float(row["late_linf_u"]) == linf[t >= t[-1] / 3.0].max()
+            assert float(row["late_linf_u"]) < float(row["sup_linf_u"])  # decaying
 
     def test_mu_sweep_marks_threshold(self, tmp_path):
         cfg = parse_config(minimal_cfg(tmp_path))

@@ -15,9 +15,9 @@ from kslab.solver import (
     OUTCOME_DT_COLLAPSE,
     OUTCOME_NONFINITE,
     SolverConfig,
-    _advection_divergence,
     _implicit_diffusion,
     _line_inverse,
+    _subtract_advection,
     compute_dt,
     initial_condition,
     manufactured_problem,
@@ -141,7 +141,9 @@ class TestStepExactness:
         def divergence(offset):
             u = np.roll(bump, (offset,) * g.dim, axis=axes)
             v = np.roll(0.5 * bump**2, (offset - 1,) * g.dim, axis=axes)
-            return _advection_divergence(u, face_gradients(v, g), 1.5, g)
+            du = np.zeros(cells)
+            _subtract_advection(du, u, face_gradients(v, g), 1.5, g, np.empty(cells))
+            return du
 
         base = divergence(0)
         assert np.count_nonzero(base) > 0
@@ -179,7 +181,7 @@ class TestImplicitDiffusion:
         coef = 0.7
         dt = theta * grid.spacing[0] ** 2 / coef
         f = np.random.default_rng(grid.dim).uniform(0.5, 1.5, grid.cells)
-        got = _implicit_diffusion(f, coef, dt, grid)
+        got = _implicit_diffusion(f.copy(), coef, dt, grid, np.empty(grid.cells))
         np.testing.assert_allclose(
             got, line_solve_reference(f, coef, dt, grid), rtol=1e-12, atol=0.0
         )
@@ -189,10 +191,12 @@ class TestImplicitDiffusion:
         dt = 1e3 * grid.spacing[0] ** 2
         for value in (0.37, 7.3, 2.2250738585e-313):  # the last is subnormal
             const = np.full(grid.cells, value)
-            assert np.array_equal(_implicit_diffusion(const, 1.0, dt, grid), const)
+            got = _implicit_diffusion(const.copy(), 1.0, dt, grid, np.empty(grid.cells))
+            assert np.array_equal(got, const)
         f = np.random.default_rng(7).uniform(0.5, 1.5, grid.cells)
         mass = np.sum(f)
-        assert abs(np.sum(_implicit_diffusion(f, 1.0, dt, grid)) - mass) <= 1e-13 * mass
+        got = _implicit_diffusion(f, 1.0, dt, grid, np.empty(grid.cells))
+        assert abs(np.sum(got) - mass) <= 1e-13 * mass
 
     def test_line_inverse_is_read_only(self):
         inv = _line_inverse(7, 0.5)
@@ -373,6 +377,21 @@ class TestRun:
         assert np.all(np.diff(t) > 0)
         assert traj.outcome == OUTCOME_COMPLETED
         assert t[-1] == cfg.t_end
+
+    def test_blowup_step_sampled_once(self):
+        # the blow-up step is also a sampling step (stride 1)
+        p = unit_params(n=1, chi=0.0, kappa=5.0, mu=1.0)
+        g = Grid(dim=1, extents=(1.0,), cells=(16,))
+        st = State(u=np.ones(g.cells), v=np.ones(g.cells), t=0.0)
+        cfg = SolverConfig(
+            dt_initial=0.01, t_end=1.0, snapshot_stride=1, blowup_linf_threshold=1.5
+        )
+        traj = run(st, p, logistic(p), g, cfg)
+        assert traj.outcome == OUTCOME_BLOWUP
+        t = traj.diagnostics.column("t")
+        assert np.all(np.diff(t) > 0)
+        assert t[-1] == traj.states[-1].t and len(t) == traj.steps + 1
+        assert traj.diagnostics.column("Linf_u")[-1] > 1.5
 
     def test_one_dimensional_strong_chemotaxis_stays_bounded(self):
         # mu above the 3-D general-branch analog keeps the run tame
