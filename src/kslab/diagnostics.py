@@ -8,6 +8,7 @@ functionals see exactly the discrete fields the solver evolves.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -50,12 +51,21 @@ def lp_norm(fld: np.ndarray, p, grid: Grid) -> float:
 
 
 def face_gradients(v: np.ndarray, grid: Grid, out=None) -> List[np.ndarray]:
-    """Face difference quotients of v per axis; into out (an earlier result) if given."""
-    if out is None:  # shaped by np.diff; the loop writes the values
-        out = [np.diff(v, axis=k) for k in range(v.ndim)]
+    """Face difference quotients of v per grid axis (the last grid.dim axes
+    of v, which may stack points along a leading axis), each shaped like v:
+    entry i along axis k is (v_{i+1} - v_i) / h_k, the quotient across the
+    face between cells i and i + 1, and the last entry, a boundary face, is
+    0 (no flux).  Face i then sits at cell i's index, so the difference is
+    one pass over the flat array, shifted by the axis stride; into out
+    (contiguous, an earlier result) if given."""
+    lead = v.ndim - grid.dim
+    if out is None:
+        out = [np.empty(v.shape) for _ in range(grid.dim)]
+    flat = v.reshape(-1)
     for k, g in enumerate(out):
-        pre = (slice(None),) * k
-        np.subtract(v[pre + (slice(1, None),)], v[pre + (slice(-1),)], out=g)
+        stride = math.prod(grid.cells[k + 1:])
+        np.subtract(flat[stride:], flat[:-stride], out=g.reshape(-1)[:-stride])
+        g[(slice(None),) * (lead + k) + (-1,)] = 0.0  # across lines and points: not a face
         g /= grid.spacing[k]
     return out
 
@@ -64,14 +74,21 @@ def grad_magnitude_squared(v: np.ndarray, grid: Grid, out=None, tmp=None) -> np.
     """Cell-centered |grad v|^2 from central differences (v_{i+1} - v_{i-1})
     / 2h with v_{-1} = v_0 and v_n = v_{n-1}: the average of the two face
     differences around a cell, with zero difference on the boundary faces
-    (the solver's no-flux closure).  out and tmp (contiguous, shaped like
-    v) take the result and the per-axis differences when given."""
+    (the solver's no-flux closure).  v may stack points along a leading
+    axis.  out and tmp (contiguous, shaped like v) take the result and the
+    per-axis differences when given."""
     v = np.asarray(v, dtype=float)
+    lead = v.ndim - grid.dim
     out, tmp = (np.empty_like(v) if a is None else a for a in (out, tmp))
-    for axis in range(v.ndim):
+    flat = v.reshape(-1)
+    for axis in range(grid.dim):
         def at(*bounds):
-            return (slice(None),) * axis + (slice(*bounds),)
-        np.subtract(v[at(2, None)], v[at(-2)], out=tmp[at(1, -1)])
+            return (slice(None),) * (lead + axis) + (slice(*bounds),)
+        # interior cells in one flat pass; the two boundary planes, where the
+        # shifted pass crosses lines or points, are overwritten next
+        stride = math.prod(grid.cells[axis + 1:])
+        interior = tmp.reshape(-1)[stride:-stride]
+        np.subtract(flat[2 * stride:], flat[:-2 * stride], out=interior)
         np.subtract(v[at(1, 2)], v[at(1)], out=tmp[at(1)])
         np.subtract(v[at(-1, None)], v[at(-2, -1)], out=tmp[at(-1, None)])
         tmp *= 0.5 / grid.spacing[axis]
@@ -81,60 +98,79 @@ def grad_magnitude_squared(v: np.ndarray, grid: Grid, out=None, tmp=None) -> np.
     return out
 
 
-def _moments(state: State, grid: Grid, scratch=None, c3=None, c45=None) -> Dict:
-    """Cell sums of products of u and g = |grad v|^2 keyed by their factors
-    ("ugg" sums u g^2), "|u|^3", and "z3" / "z45" (over the cell volume) for
-    the coefficient sets given; scratch is two fields, for g and for work."""
-    u = state.u
+def _sums(x: np.ndarray) -> np.ndarray:
+    """Per-point sums of a stack: one pairwise sum each, as np.sum of the point."""
+    return x.reshape(len(x), -1).sum(axis=1)
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-point <x, y> of two stacks: one BLAS dot each, as np.vdot of the point."""
+    return np.matmul(x.reshape(len(x), 1, -1), y.reshape(len(y), -1, 1)).reshape(len(x))
+
+
+def _moments(u, v, grid: Grid, scratch=None, c3=(), c45=()) -> List[Dict[str, float]]:
+    """Per point of the stacks u and v (leading point axis): cell sums of
+    products of u and g = |grad v|^2 keyed by their factors ("ugg" sums
+    u g^2), "|u|^3", and "z3" / "z45" (over the cell volume) for the points'
+    coefficient sets in c3 / c45 (None: no set); scratch is two stacks, for
+    g and for work."""
     g, a = scratch or (np.empty_like(u), np.empty_like(u))
-    grad_magnitude_squared(state.v, grid, out=g, tmp=a)
-    m = {"g": np.sum(g), "ug": np.vdot(u, g)}
+    grad_magnitude_squared(v, grid, out=g, tmp=a)
+    m = {"u": _sums(u), "g": _sums(g), "ug": _dots(u, g)}
     np.multiply(g, g, out=a)
-    m.update(gg=np.sum(a), ggg=np.vdot(a, g), ugg=np.vdot(u, a))
+    m.update(gg=_sums(a), ggg=_dots(a, g), ugg=_dots(u, a))
     np.multiply(u, u, out=a)
-    m.update(uu=np.sum(a), uuu=np.vdot(a, u), uug=np.vdot(a, g))
-    m["|u|^3"] = np.vdot(a, np.abs(u, out=g))
-    if c3:
-        m["z3"] = c3.delta1 * m["uu"] + c3.delta2 * m["ug"] + c3.delta3 * m["gg"]
-    if c45:
-        m["z45"] = (c45.delta1 * m["uuu"] + c45.delta2 * m["uug"]
-                    + c45.delta3 * m["ugg"] + c45.delta4 * m["ggg"])
-    return m
+    m.update(uu=_sums(a), uuu=_dots(a, u), uug=_dots(a, g))
+    m["|u|^3"] = _dots(a, np.abs(u, out=g))
+    points = [dict(zip(m, sums)) for sums in zip(*(x.tolist() for x in m.values()))]
+    for p, c in zip(points, c3):
+        if c:
+            p["z3"] = c.delta1 * p["uu"] + c.delta2 * p["ug"] + c.delta3 * p["gg"]
+    for p, c in zip(points, c45):
+        if c:
+            p["z45"] = (c.delta1 * p["uuu"] + c.delta2 * p["uug"]
+                        + c.delta3 * p["ugg"] + c.delta4 * p["ggg"])
+    return points
 
 
 def functional_z3(state: State, grid: Grid, c: CoefficientSet3D) -> float:
     """delta1 int u^2 + delta2 int u |grad v|^2 + delta3 int |grad v|^4."""
-    return float(_moments(state, grid, c3=c)["z3"] * grid.cell_volume)
+    return _moments(state.u[None], state.v[None], grid, c3=[c])[0]["z3"] * grid.cell_volume
 
 
 def functional_z45(state: State, grid: Grid, c: CoefficientSet45D) -> float:
     """Four-term coupled functional with cubic leading weight."""
-    return float(_moments(state, grid, c45=c)["z45"] * grid.cell_volume)
+    return _moments(state.u[None], state.v[None], grid, c45=[c])[0]["z45"] * grid.cell_volume
 
 
-def lyapunov_H(state: State, params: Parameters, grid: Grid, scratch=None) -> float:
+def lyapunov_H(state: State, params: Parameters, grid: Grid) -> float:
     """Entropy-like distance to the positive equilibrium.
 
     H = int (u - c - c ln(u/c)) + delta int (v - alpha kappa/(beta mu))^2
     with c = kappa/mu and delta = kappa chi^2 / (8 d1 d2 mu); nonnegative,
     zero exactly at the equilibrium.  Requires kappa > 0 and u > 0.
-    scratch is two fields to work in instead of fresh ones.
     """
     if params.kappa <= 0.0:
         raise ValueError("H is defined only for kappa > 0")
-    u = state.u
-    if np.min(u) <= 0.0:
+    if np.min(state.u) <= 0.0:
         raise ValueError("H undefined at vacuum")
-    c = params.kappa / params.mu
-    v_eq = params.alpha * params.kappa / (params.beta * params.mu)
-    delta = params.kappa * params.chi**2 / (
-        8.0 * params.d1 * params.d2 * params.mu
-    )
+    return _entropy(state.u[None], state.v[None], [params], grid)[0]
+
+
+def _entropy(u, v, params: Sequence[Parameters], grid: Grid, scratch=None) -> List[float]:
+    """lyapunov_H per point of the stacks u and v, with one Parameters per
+    point; scratch is two stacks to work in instead of fresh ones."""
+    column = (len(u),) + (1,) * grid.dim
+    c = np.reshape([p.kappa / p.mu for p in params], column)
+    v_eq = np.reshape([p.alpha * p.kappa / (p.beta * p.mu) for p in params], column)
+    delta = [p.kappa * p.chi**2 / (8.0 * p.d1 * p.d2 * p.mu) for p in params]
     a, b = scratch or (np.empty_like(u), np.empty_like(u))
     np.multiply(np.log(np.divide(u, c, out=a), out=a), c, out=a)
     np.subtract(np.subtract(u, c, out=b), a, out=b)  # u - c - c ln(u/c)
-    np.subtract(state.v, v_eq, out=a)
-    return float((np.sum(b) + delta * np.vdot(a, a)) * grid.cell_volume)
+    np.subtract(v, v_eq, out=a)
+    vol = grid.cell_volume
+    sums, squares = _sums(b).tolist(), _dots(a, a).tolist()
+    return [(s + d * q) * vol for s, d, q in zip(sums, delta, squares)]
 
 
 CSV_COLUMNS = (
@@ -155,19 +191,23 @@ _AUDIT_COLUMNS = ("Linf_v", "dev_linf_u", "dev_linf_v")
 class DiagnosticsSeries:
     """Time-indexed table of norms and functionals along one run.
 
-    One list per column, keyed by the CSV_COLUMNS names plus the
-    audit-only Linf_v, dev_linf_u and dev_linf_v (the sup norm of v and the
-    sup deviations from the positive equilibrium), which the convergence
-    audit reads and the CSV table leaves out.
+    One compact array per column (8 bytes a value: "d" doubles, "q" for
+    clamp_count), keyed by the CSV_COLUMNS names plus the audit-only Linf_v,
+    dev_linf_u and dev_linf_v (the sup norm of v and the sup deviations from
+    the positive equilibrium), which the convergence audit reads and the CSV
+    table leaves out.
     """
 
-    columns: Dict[str, list] = field(
-        default_factory=lambda: {name: [] for name in CSV_COLUMNS + _AUDIT_COLUMNS}
+    columns: Dict[str, array] = field(
+        default_factory=lambda: {
+            name: array("q" if name == "clamp_count" else "d")
+            for name in CSV_COLUMNS + _AUDIT_COLUMNS
+        }
     )
     _scratch: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @property
-    def times(self) -> List[float]:
+    def times(self) -> array:
         return self.columns["t"]
 
     def sample(
@@ -180,38 +220,73 @@ class DiagnosticsSeries:
         coeffs45: Optional[CoefficientSet45D] = None,
     ) -> None:
         """Append one row.  |grad v|^2 and the sums of powers are formed once
-        (_moments) in two reused scratch fields; sup norms come from extremes."""
-        u, v = state.u, state.v
-        if not self._scratch or self._scratch[0].shape != u.shape:
-            self._scratch = (np.empty(u.shape), np.empty(u.shape))
-        m = _moments(state, grid, self._scratch, coeffs3, coeffs45)
+        (_moments) in two reused scratch fields; sup norms come from extremes.
+
+        On stacked fields (a leading point axis and an array t, as run_batch
+        samples) self, params, clamp_total, coeffs3 and coeffs45 are
+        sequences with one entry per point, and one batched pass appends one
+        row to each series.  A stack of several points is small (run_sweep's
+        budget) and takes fresh scratch; one point's series keeps its own.
+        """
+        stacked = state.u.ndim > grid.dim
+        if stacked:
+            series, points, clamps = self, params, clamp_total
+            sets3, sets45 = coeffs3 or [None] * len(self), coeffs45 or [None] * len(self)
+            u, v = state.u, state.v
+        else:
+            series, points, clamps = [self], [params], [clamp_total]
+            sets3, sets45 = [coeffs3], [coeffs45]
+            u, v = state.u[None], state.v[None]
+        if len(series) > 1:
+            scratch = (np.empty(u.shape), np.empty(u.shape))
+        else:
+            if not series[0]._scratch or series[0]._scratch[0].shape != u.shape:
+                series[0]._scratch = (np.empty(u.shape), np.empty(u.shape))
+            scratch = series[0]._scratch
+        moments = _moments(u, v, grid, scratch, sets3, sets45)
+        u_lo, u_hi, v_lo, v_hi = (
+            reduce(x.reshape(len(x), -1), axis=1).tolist()
+            for x in (u, v) for reduce in (np.min, np.max)
+        )
+        # H only where it is defined; other points' fields stay out of the logs
+        entropic = [
+            i for i, p in enumerate(points) if p.kappa > 0.0 and u_lo[i] > VACUUM_FLOOR
+        ]
+        h = {}
+        if entropic:
+            rows = slice(None) if len(entropic) == len(points) else entropic
+            scratch = tuple(a[: len(entropic)] for a in scratch)
+            values = _entropy(u[rows], v[rows], [points[i] for i in entropic], grid, scratch)
+            h = dict(zip(entropic, values))
+        times = np.ravel(state.t).tolist()
         vol = grid.cell_volume
-        u_lo, u_hi, v_lo, v_hi = u.min(), u.max(), v.min(), v.max()
-        row = {
-            "t": float(state.t), "mass_u": float(np.sum(u) * vol),
-            "L2_u": (m["uu"] * vol) ** 0.5, "L3_u": (m["|u|^3"] * vol) ** (1 / 3),
-            "Linf_u": max(u_hi, -u_lo), "L2_gradv": (m["g"] * vol) ** 0.5,
-            "L4_gradv": (m["gg"] * vol) ** 0.25, "L6_gradv": (m["ggg"] * vol) ** (1 / 6),
-            "z3": m["z3"] * vol if coeffs3 else math.nan,
-            "z45": m["z45"] * vol if coeffs45 else math.nan,
-            "H": math.nan, "clamp_count": int(clamp_total), "Linf_v": max(v_hi, -v_lo),
-            "dev_linf_u": math.nan, "dev_linf_v": math.nan,
-        }
-        if params.kappa > 0.0:
-            if u_lo > VACUUM_FLOOR:
-                row["H"] = lyapunov_H(state, params, grid, self._scratch)
-            u_eq = params.kappa / params.mu
-            v_eq = params.alpha * params.kappa / (params.beta * params.mu)
-            # exact: |x - c| over a field peaks at the field's min or max
-            row["dev_linf_u"] = max(u_hi - u_eq, u_eq - u_lo)
-            row["dev_linf_v"] = max(v_hi - v_eq, v_eq - v_lo)
-        for name, value in row.items():
-            self.columns[name].append(value if name == "clamp_count" else float(value))
+        for i, (target, p, m) in enumerate(zip(series, points, moments)):
+            row = {
+                "t": times[i], "mass_u": m["u"] * vol,
+                "L2_u": (m["uu"] * vol) ** 0.5, "L3_u": (m["|u|^3"] * vol) ** (1 / 3),
+                "Linf_u": max(u_hi[i], -u_lo[i]), "L2_gradv": (m["g"] * vol) ** 0.5,
+                "L4_gradv": (m["gg"] * vol) ** 0.25, "L6_gradv": (m["ggg"] * vol) ** (1 / 6),
+                "z3": m["z3"] * vol if sets3[i] else math.nan,
+                "z45": m["z45"] * vol if sets45[i] else math.nan,
+                "H": h.get(i, math.nan), "clamp_count": int(clamps[i]),
+                "Linf_v": max(v_hi[i], -v_lo[i]),
+                "dev_linf_u": math.nan, "dev_linf_v": math.nan,
+            }
+            if p.kappa > 0.0:
+                u_eq = p.kappa / p.mu
+                v_eq = p.alpha * p.kappa / (p.beta * p.mu)
+                # exact: |x - c| over a field peaks at the field's min or max
+                row["dev_linf_u"] = max(u_hi[i] - u_eq, u_eq - u_lo[i])
+                row["dev_linf_v"] = max(v_hi[i] - v_eq, v_eq - v_lo[i])
+            for name, value in row.items():
+                target.columns[name].append(value)
 
     def column(self, name: str) -> np.ndarray:
+        """A copy of the column as floats: a view of the live array would
+        block its appends."""
         if name not in self.columns:
             raise KeyError(f"unknown diagnostics column {name!r}")
-        return np.asarray(self.columns[name], dtype=float)
+        return np.array(self.columns[name], dtype=float)
 
     def to_csv(self) -> str:
         """Render the specified diagnostic table; empty cells for undefined
@@ -221,7 +296,8 @@ class DiagnosticsSeries:
             ",".join(map(_csv_cell, CSV_COLUMNS, row))
             for row in zip(*(self.columns[name] for name in CSV_COLUMNS))
         )
-        return "\n".join(lines) + "\n"
+        lines.append("")  # the final newline, without a copy of the text
+        return "\n".join(lines)
 
 
 def _csv_cell(name: str, value) -> str:

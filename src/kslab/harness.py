@@ -334,17 +334,28 @@ class ScenarioResult:
     output_dir: Path
 
 
-def _simulate(cfg: ExperimentConfig, report: th.ThresholdReport):
-    params, ic = cfg.params, cfg.ic
-    source = SourceFunction.standard_logistic(params.kappa, params.mu)
-    state0 = sv.initial_condition(
+def _source(params: Parameters) -> SourceFunction:
+    return SourceFunction.standard_logistic(params.kappa, params.mu)
+
+
+def _initial_state(cfg: ExperimentConfig):
+    ic = cfg.ic
+    return sv.initial_condition(
         ic.kind, cfg.grid, base_u=ic.base_u, base_v=ic.base_v,
         amplitude=ic.amplitude, width=ic.width, seed=cfg.seed,
     )
+
+
+def _coefficient_sets(cfg: ExperimentConfig, report: th.ThresholdReport):
+    """The (z3, z45) coefficient sets that cfg's run samples."""
+    return (report.coeffs3 if cfg.grid.dim == 3 else None), report.coeffs45
+
+
+def _simulate(cfg: ExperimentConfig, report: th.ThresholdReport):
+    source, state0 = _source(cfg.params), _initial_state(cfg)
     traj = sv.run(
-        state0, params, source, cfg.grid, cfg.solver,
-        coeffs3=report.coeffs3 if cfg.grid.dim == 3 else None,
-        coeffs45=report.coeffs45,
+        state0, cfg.params, source, cfg.grid, cfg.solver,
+        *_coefficient_sets(cfg, report),
     )
     return traj, source, state0
 
@@ -535,35 +546,86 @@ def _report_thresholds(lines, report: th.ThresholdReport) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_point(args) -> Dict[str, object]:
-    base, axis, value, point_dir = args
-    row: Dict[str, object] = {"value": value, "outcome": "", "sup_linf_u": "",
-                              "late_linf_u": "", "fit_model": "", "fit_rate": "",
-                              "mu_gt_mu0": "", "error": ""}
-    try:
-        params = validate(dataclasses.replace(base.params, **{axis: value}))
-        report = th.report(params, base.convex)
-        traj, _, _ = _simulate(dataclasses.replace(base, params=params), report)
-        series = traj.diagnostics
-        Path(point_dir).mkdir(parents=True, exist_ok=True)
-        (Path(point_dir) / "diagnostics.csv").write_text(series.to_csv())
-        t = series.column("t")
-        linf = series.column("Linf_u")
-        row["outcome"] = traj.outcome
-        row["sup_linf_u"] = float(np.max(linf))
-        row["late_linf_u"] = float(np.max(linf[t >= t[-1] / 3.0]))
-        if not math.isnan(report.mu0):
-            row["mu_gt_mu0"] = int(params.mu > report.mu0)
-        if traj.outcome == sv.OUTCOME_COMPLETED and np.all(linf > 0):
+_SUMMARY_COLUMNS = ("value", "outcome", "sup_linf_u", "late_linf_u", "fit_model",
+                    "fit_rate", "mu_gt_mu0", "error")
+
+# Sweep points march together while their stacked fields and line inverses
+# (cells plus n^2 per axis, per point) fit in this many doubles, 512 KiB: a
+# 32^2 point takes 3,072, so up to 21 share a batch, while a 64^3 point or a
+# 1,024-cell line runs alone, with the memory of a solo run.
+_BATCH_ELEMENTS = 1 << 16
+
+
+def _sweep_chunk(args) -> List[Dict[str, object]]:
+    """Summary rows of a contiguous chunk of sweep points, given as (index,
+    value) pairs.  Each point is set up on its own (validation, threshold
+    report, source; the initial state depends on no parameter and is made
+    once); a point whose set-up raises keeps its error row and stays out of
+    the batch.  The rest march in batches within _BATCH_ELEMENTS
+    (sv.run_batch); an error in a batch's run lands in the rows of all its
+    points, one in a point's output in that point's row."""
+    base, axis, points, out = args
+    grid = base.grid
+    size = max(1, _BATCH_ELEMENTS // (math.prod(grid.cells) + sum(n * n for n in grid.cells)))
+    rows, state0 = [], None
+    for first in range(0, len(points), size):
+        ready = []
+        for index, value in points[first:first + size]:
+            row: Dict[str, object] = dict.fromkeys(_SUMMARY_COLUMNS, "")
+            row["value"] = value
+            rows.append(row)
             try:
-                fit = diag.fit_decay(t, linf, (t[-1] / 2.0, t[-1]))
-                row["fit_model"] = fit.model
-                row["fit_rate"] = fit.rate
-            except ValueError:
-                pass
-    except Exception as exc:  # recorded per point, never fatal to the sweep
-        row["error"] = str(exc)
-    return row
+                cfg = dataclasses.replace(
+                    base, params=validate(dataclasses.replace(base.params, **{axis: value}))
+                )
+                report = th.report(cfg.params, base.convex)
+                if state0 is None:
+                    state0 = _initial_state(base)
+                point_dir = out / f"point_{index:03d}"
+                ready.append((row, cfg, report, _source(cfg.params), point_dir))
+            except Exception as exc:  # recorded per point, never fatal to the sweep
+                row["error"] = str(exc)
+        if not ready:
+            continue
+        batch_rows, cfgs, reports, sources, dirs = zip(*ready)
+        sets = [_coefficient_sets(cfg, report) for cfg, report in zip(cfgs, reports)]
+        try:
+            trajectories = sv.run_batch(
+                [state0] * len(ready), [cfg.params for cfg in cfgs], sources, grid,
+                base.solver, [c3 for c3, _ in sets], [c45 for _, c45 in sets],
+            )
+        except Exception as exc:
+            for row in batch_rows:
+                row["error"] = str(exc)
+            continue
+        trajectories.reverse()  # popped in point order, so each is freed when done
+        for row, cfg, report, point_dir in zip(batch_rows, cfgs, reports, dirs):
+            try:
+                _sweep_result(row, cfg.params, report, trajectories.pop(), point_dir)
+            except Exception as exc:
+                row["error"] = str(exc)
+    return rows
+
+
+def _sweep_result(row, params: Parameters, report, traj, point_dir: Path) -> None:
+    """Write a sweep point's diagnostics.csv and fill in its summary row."""
+    series = traj.diagnostics
+    point_dir.mkdir(parents=True, exist_ok=True)
+    (point_dir / "diagnostics.csv").write_text(series.to_csv())
+    t = series.column("t")
+    linf = series.column("Linf_u")
+    row["outcome"] = traj.outcome
+    row["sup_linf_u"] = float(np.max(linf))
+    row["late_linf_u"] = float(np.max(linf[t >= t[-1] / 3.0]))
+    if not math.isnan(report.mu0):
+        row["mu_gt_mu0"] = int(params.mu > report.mu0)
+    if traj.outcome == sv.OUTCOME_COMPLETED and np.all(linf > 0):
+        try:
+            fit = diag.fit_decay(t, linf, (t[-1] / 2.0, t[-1]))
+            row["fit_model"] = fit.model
+            row["fit_rate"] = fit.rate
+        except ValueError:
+            pass
 
 
 def _sweep_workers(setting: Optional[str], points: int, cpus: int) -> int:
@@ -580,10 +642,14 @@ def run_sweep(
     base: ExperimentConfig, axis: str, values: Tuple[float, ...]
 ) -> List[Dict[str, object]]:
     """Run base with each value of the parameter axis, one output row per
-    requested value in order; summary.csv goes to base.output_dir.
+    requested value in order; summary.csv goes to base.output_dir and each
+    point's diagnostics.csv to point_<index>.
 
-    Points run concurrently up to the KSLAB_WORKERS cap (default: serial);
-    per-point failures land in the row's error column.
+    The points march in lockstep batches (sv.run_batch) under a fixed
+    budget of stacked elements, _BATCH_ELEMENTS, with outputs identical to
+    solo runs.  With KSLAB_WORKERS set (default: serial), up to that many
+    processes each take a contiguous chunk of the points.  Per-point
+    failures, in set-up, run or output, land in the row's error column.
     """
     _validate_sweep_axis(axis, values, base.params)
     workers = _sweep_workers(
@@ -591,21 +657,18 @@ def run_sweep(
     )
     out = Path(base.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = [
-        (base, axis, value, str(out / f"point_{i:03d}"))
-        for i, value in enumerate(values)
-    ]
+    points = list(enumerate(values))
+    bounds = [len(points) * k // workers for k in range(workers + 1)]
+    chunks = [(base, axis, points[a:b], out) for a, b in zip(bounds, bounds[1:])]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, jobs))
+            rows = [row for chunk in pool.map(_sweep_chunk, chunks) for row in chunk]
     else:
-        rows = [_sweep_point(job) for job in jobs]
-    header = ("value", "outcome", "sup_linf_u", "late_linf_u", "fit_model",
-              "fit_rate", "mu_gt_mu0", "error")
-    lines = [",".join(header)] + [
+        rows = _sweep_chunk(chunks[0])
+    lines = [",".join(_SUMMARY_COLUMNS)] + [
         ",".join(
             "%.17e" % row[key] if isinstance(row[key], float) else str(row[key])
-            for key in header
+            for key in _SUMMARY_COLUMNS
         )
         for row in rows
     ]

@@ -6,7 +6,9 @@ these as plain data.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -57,6 +59,11 @@ def validate(params: Parameters) -> Parameters:
     for name in ("chi", "kappa"):
         if not np.isfinite(getattr(params, name)):
             raise ValueError(f"{name} must be finite")
+    if params.kappa > 0.0 and params.kappa / params.mu < sys.float_info.min:
+        raise ValueError(
+            f"equilibrium kappa/mu = {params.kappa}/{params.mu} is below the "
+            "smallest normal double"
+        )
     return params
 
 
@@ -114,11 +121,15 @@ class SourceFunction:
         return np.multiply(f, s, out=out)
 
     def lipschitz_bound(self, u: np.ndarray) -> float:
-        """Local Lipschitz estimate max |kappa - 2 mu s| over u (for dt control);
-        monotone in s, also rounded, so it peaks at min(u) or max(u)."""
+        """Local Lipschitz estimate max |kappa - 2 mu s| over u (for dt control)."""
+        return float(self.lipschitz_between(u.min(), u.max()))
+
+    def lipschitz_between(self, lo: float, hi: float) -> float:
+        """max |kappa - 2 mu s| over s in [lo, hi]: monotone in s, also
+        rounded, so it peaks at lo or hi."""
         if self.kind == "zero":
             return 0.0
-        return float(max(abs(self.kappa - 2.0 * self.mu * x) for x in (u.min(), u.max())))
+        return max(abs(self.kappa - 2.0 * self.mu * x) for x in (lo, hi))
 
 
 @dataclass(frozen=True)
@@ -145,7 +156,8 @@ class Grid:
         object.__setattr__(self, "extents", tuple(float(e) for e in self.extents))
         object.__setattr__(self, "cells", tuple(int(c) for c in self.cells))
 
-    @property
+    # computed once per grid; the cache lives outside the compared fields
+    @cached_property
     def spacing(self) -> Tuple[float, ...]:
         return tuple(e / c for e, c in zip(self.extents, self.cells))
 
@@ -153,7 +165,7 @@ class Grid:
     def volume(self) -> float:
         return float(np.prod(self.extents))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 

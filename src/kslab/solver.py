@@ -5,9 +5,18 @@ Diffusion is implicit, one axis at a time, by multiplying each line with
 the cached dense inverse of its constant-coefficient line matrix (2n flops
 per cell per axis for lines of n cells); the chemotactic flux is explicit
 first-order upwind in conservative form, and reactions are explicit.
-A step takes its intermediates (face gradients of v, one scratch field) and
-its output (u, v) pair from a workspace: run keeps one with two pairs that
-alternate, so a warm run allocates no full-grid arrays; step alone stays pure.
+
+The kernels step P points at once: their fields stack along a leading point
+axis, shape (P, *grid.cells), and every Parameters or source field that may
+differ by point is a (P, 1, ..., 1) column (_columns).  Each point keeps its
+own dt, t and line inverses, and each of its values comes from the same
+floating-point operations as in a run of that point alone, so a batch
+reproduces solo runs bit for bit.  run_batch marches a batch in lockstep and
+run is its one-point call; step and compute_dt also take a single field pair.
+A step takes its intermediates (face gradients of v, one scratch stack) and
+its output (u, v) pair from a workspace: run_batch keeps one with two pairs
+that alternate, so a warm run allocates no full-grid arrays; step alone
+stays pure.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ __all__ = [
     "compute_dt",
     "step",
     "run",
+    "run_batch",
     "RefinementResult",
     "refinement_study",
     "manufactured_problem",
@@ -141,42 +151,60 @@ def compute_dt(
     with steep gradients on both sides of a cell can drive the cell
     negative, and step clamps and counts it.  Implicit diffusion adds no
     restriction.  max|dv| and L come from the extremes of the face gradients
-    and of u: no |.| copies, and exact, so dt is bit-identical.
+    and of u: no |.| copies, and exact, so dt is bit-identical.  On stacked
+    fields params and source are sequences, one entry per point, and dt is
+    an array of one step per point.
     """
+    if state.u.ndim == grid.dim:
+        params, source = [params], [source]
+    count = len(params)
+
+    def extremes(a):
+        rows = a.reshape(count, -1)
+        return list(zip(rows.min(axis=1).tolist(), rows.max(axis=1).tolist()))
+
     if face_grads is None:
         face_grads = face_gradients(state.v, grid)
-    dt = cfg.dt_initial
-    abs_chi = abs(params.chi)
-    if abs_chi > 0.0:
-        for axis, g in enumerate(face_grads):
-            gmax = float(max(g.max(), -g.min())) if g.size else 0.0
-            speed = grid.dim * abs_chi * gmax  # 0 on underflow, not only at rest
-            if speed > 0.0:
-                dt = min(dt, cfg.cfl_safety * grid.spacing[axis] / speed)
-    lipschitz = max(source.lipschitz_bound(state.u), params.beta)
-    if lipschitz > 0.0:
-        dt = min(dt, cfg.cfl_safety / lipschitz)
-    return dt
+    gmax = [[max(hi, -lo) for lo, hi in extremes(g)] for g in face_grads]
+    dts = []
+    for point, (prm, src, (lo, hi)) in enumerate(zip(params, source, extremes(state.u))):
+        dt = cfg.dt_initial
+        abs_chi = abs(prm.chi)
+        if abs_chi > 0.0:
+            for axis, g in enumerate(gmax):
+                speed = grid.dim * abs_chi * g[point]  # 0 on underflow, not only at rest
+                if speed > 0.0:
+                    dt = min(dt, cfg.cfl_safety * grid.spacing[axis] / speed)
+        lipschitz = max(src.lipschitz_between(lo, hi), prm.beta)
+        if lipschitz > 0.0:
+            dt = min(dt, cfg.cfl_safety / lipschitz)
+        dts.append(dt)
+    return np.array(dts) if state.u.ndim > grid.dim else dts[0]
 
 
-def _subtract_advection(du, u, face_grads: List[np.ndarray], chi: float, grid: Grid, tmp):
+def _subtract_advection(du, u, face_grads: List[np.ndarray], chi, grid: Grid, tmp):
     """du -= div(chi u grad v) with upwind u on faces; zero boundary flux.
     With w = chi g / h, the flux over h, w * (u_lo if w > 0 else u_hi), is
-    max(w, 0) u_lo + min(w, 0) u_hi: no gather.  It overwrites face_grads;
-    tmp is a scratch field."""
+    max(w, 0) u_lo + min(w, 0) u_hi: no gather.  On face_gradients' layout
+    u_lo is u itself, and u_hi and the cells downstream of each face are u
+    and du shifted by the axis stride in flat memory, so every pass is
+    contiguous; the zero boundary faces make the shifts across lines and
+    points add zeros.  It overwrites face_grads; tmp is a scratch field.  On
+    stacked fields chi is a number or a per-point column."""
+    du_flat, u_flat, up = du.reshape(-1), u.reshape(-1), tmp.reshape(-1)
     for axis, w in enumerate(face_grads):
-        lo, hi = ((slice(None),) * axis + (s,) for s in (slice(-1), slice(1, None)))
+        stride = math.prod(grid.cells[axis + 1:])
         w *= chi / grid.spacing[axis]
-        up = np.maximum(w, 0.0, out=tmp.reshape(-1)[: w.size].reshape(w.shape))
-        up *= u[lo]
+        w = w.reshape(-1)
+        np.maximum(w, 0.0, out=up)
+        up *= u_flat
         np.minimum(w, 0.0, out=w)
-        w *= u[hi]
+        w[:-stride] *= u_flat[stride:]
         w += up
-        du[lo] -= w
-        du[hi] += w
+        du_flat -= w
+        du_flat[stride:] += w[:-stride]
 
 
-@lru_cache(maxsize=8)
 def _line_inverse(n: int, theta: float) -> np.ndarray:
     """Read-only inverse of the n-cell no-flux line matrix I - theta Lap.
 
@@ -192,51 +220,98 @@ def _line_inverse(n: int, theta: float) -> np.ndarray:
     return inv
 
 
-def _implicit_diffusion(f: np.ndarray, coef: float, dt: float, grid: Grid, tmp) -> np.ndarray:
-    """Sequential per-axis solves of (I - dt coef Lap_axis) x = f, in place.
+@lru_cache(maxsize=8)
+def _line_inverses(n: int, thetas: Tuple[float, ...]) -> np.ndarray:
+    """Read-only (P, n, n) stack of the line inverses of P points, one
+    batched product's operand.  Cached per (n, thetas), so that a batch with
+    more distinct thetas than the cache holds builds each once while its dt
+    holds; a theta repeated within the stack is inverted once, and one
+    shared by all points is a broadcast view, not P copies.  run_batch
+    empties the cache when it ends: a finished run holds no inverses."""
+    built = {theta: _line_inverse(n, theta) for theta in set(thetas)}
+    if len(built) == 1:
+        return np.broadcast_to(built[thetas[0]], (len(thetas), n, n))
+    stack = np.stack([built[theta] for theta in thetas])
+    stack.setflags(write=False)
+    return stack
 
-    Each axis is one matrix product with the line inverse cached per
-    (cells on the axis, theta = dt coef / h_axis^2): 2n flops per cell per
-    axis, plus O(n^3) for an inverse not in the cache.  The no-flux rows
-    make each line matrix an M-matrix with unit row sums, so the discrete
-    mass is conserved up to rounding for any dt.  The products act on the
-    deviation from the first cell's value, which makes constants exact
-    fixed points: rounded products alone miss them by an ulp or so.  The
-    products alternate between f and tmp (contiguous) so the last lands in f.
+
+def _implicit_diffusion(f: np.ndarray, coef, dt, grid: Grid, tmp) -> np.ndarray:
+    """Sequential per-axis solves of (I - dt coef Lap_axis) x = f, in place,
+    for one field or a stack of fields with per-point columns coef and dt.
+
+    Each axis is one batched matrix product with the points' line inverses,
+    cached per (cells on the axis, per-point theta = dt coef / h_axis^2):
+    2n flops per cell per axis, plus O(n^3) for an inverse not in the cache.
+    The no-flux rows make each line matrix an M-matrix with unit row sums,
+    so the discrete mass is conserved up to rounding for any dt.  The
+    products act on the deviation from each point's first cell value, which
+    makes constants exact fixed points: rounded products alone miss them by
+    an ulp or so.  The products alternate between f and tmp (contiguous) so
+    the last lands in f.
     """
-    if coef <= 0.0 or dt <= 0.0:
+    stack = f.reshape((-1,) + grid.cells)
+    points = len(stack)
+    rate = dt * coef
+    rates = rate.ravel().tolist() if np.ndim(rate) else [rate] * points
+    if not any(r > 0.0 for r in rates):
         return f
-    base = f.flat[0]
-    shape = f.shape
-    src, dst = (f, tmp) if f.ndim % 2 == 0 else (tmp, f)
-    np.subtract(f, base, out=src)
-    for axis, n in enumerate(shape):
-        inv = _line_inverse(n, dt * coef / grid.spacing[axis] ** 2)
-        if axis == f.ndim - 1:  # lines as rows; inv is symmetric
-            np.matmul(src.reshape(-1, n), inv, out=dst.reshape(-1, n))
-        else:
-            lines = (math.prod(shape[:axis]), n, -1)
-            np.matmul(inv, src.reshape(lines), out=dst.reshape(lines))
+    base = stack[(slice(None),) + (slice(1),) * grid.dim].copy()
+    src, dst = stack, tmp.reshape(stack.shape)
+    if grid.dim % 2:
         src, dst = dst, src
-    f += base
+    np.subtract(stack, base, out=src)
+    for axis, n in enumerate(grid.cells):
+        h2 = grid.spacing[axis] ** 2
+        inv = _line_inverses(n, tuple(r / h2 for r in rates))
+        if axis == grid.dim - 1:  # lines as rows; inv is symmetric
+            np.matmul(src.reshape(points, -1, n), inv, out=dst.reshape(points, -1, n))
+        else:
+            lines = (points, math.prod(grid.cells[:axis]), n, -1)
+            np.matmul(inv[:, None], src.reshape(lines), out=dst.reshape(lines))
+        src, dst = dst, src
+    stack += base
     return f
 
 
 @dataclass(frozen=True)
 class StepInfo:
+    """One step's outcome; for stacked fields each field is a per-point
+    array and peaks a pair of them."""
+
     dt: float
     clamped: int
     dt_collapse: bool = False
     peaks: Tuple[float, float] = (0.0, 0.0)  # max u, max v after the clamp
 
 
-class _Workspace:
-    """Intermediates of steps on one grid shape; see the module notes."""
+def _column(values: Sequence[float], dim: int):
+    """One coefficient of P points: the value itself if all points share it
+    bit for bit (numpy's faster scalar path, with the same rounding), else a
+    (P, 1, ..., 1) column that broadcasts over P stacked fields."""
+    if len({float(x).hex() for x in values}) == 1:
+        return float(values[0])
+    return np.array(values, dtype=float).reshape((len(values),) + (1,) * dim)
 
-    def __init__(self, shape: Tuple[int, ...], pairs: int):
+
+class _Workspace:
+    """Intermediates of steps of P points on one grid, and the points'
+    coefficients as _column values; see the module notes."""
+
+    def __init__(self, params: Sequence[Parameters], sources: Sequence[SourceFunction],
+                 grid: Grid, pairs: int):
+        if len({source.kind for source in sources}) > 1:
+            raise ValueError("the points of a batch need one kind of source")
+        shape = (len(params),) + grid.cells
         self.faces: Optional[List[np.ndarray]] = None  # set by face_gradients
         self.tmp = np.empty(shape)
         self.pairs = [(np.empty(shape), np.empty(shape)) for _ in range(pairs)]
+        for name in ("d1", "d2", "chi", "alpha", "beta"):
+            setattr(self, name, _column([getattr(p, name) for p in params], grid.dim))
+        self.source = replace(sources[0], **{  # f(u) with each point's kappa and mu
+            name: _column([getattr(s, name) for s in sources], grid.dim)
+            for name in ("kappa", "mu")
+        })
 
 
 ForcingFn = Callable[[Tuple[np.ndarray, ...], float], np.ndarray]
@@ -255,42 +330,81 @@ def step(
     work: Optional[_Workspace] = None,
 ) -> Tuple[State, StepInfo]:
     """Advance one adaptive step; the homogeneous equilibrium is an exact
-    fixed point of the update.  run passes its workspace as work, and the
-    result lives in the pair not holding state.u until the step after next.
+    fixed point of the update.
+
+    state holds one field pair, or stacked fields with an array t: then
+    params and source are sequences with one entry per point, every point
+    steps, a point whose dt collapses reports dt 0 and keeps its input
+    fields in state, and StepInfo holds per-point arrays.  run_batch passes
+    its workspace, made for the same points, as work, and the result lives
+    in the pair not holding state.u until the step after next.
     """
-    u, v = state.u, state.v
-    work = work or _Workspace(u.shape, pairs=1)
-    faces = work.faces = face_gradients(v, grid, work.faces)
-    dt_cfl = compute_dt(state, params, source, cfg, grid, faces)
-    if dt_cfl < cfg.dt_min:
+    if state.u.ndim > grid.dim:
+        return _step_points(
+            state, params, source, cfg, grid, forcing_u, forcing_v, mesh, work
+        )
+    points = State(u=state.u[None], v=state.v[None], t=np.array([state.t]))
+    new, info = _step_points(
+        points, [params], [source], cfg, grid, forcing_u, forcing_v, mesh, None
+    )
+    if info.dt_collapse[0]:
         return state, StepInfo(dt=0.0, clamped=0, dt_collapse=True)
-    remaining = cfg.t_end - state.t
-    dt = min(dt_cfl, remaining) if remaining > 0.0 else dt_cfl
+    peaks = (float(info.peaks[0][0]), float(info.peaks[1][0]))
+    info = StepInfo(dt=float(info.dt[0]), clamped=int(info.clamped[0]), peaks=peaks)
+    return State(u=new.u[0], v=new.v[0], t=float(new.t[0])), info
+
+
+def _step_points(state, params, source, cfg, grid, forcing_u, forcing_v, mesh, work):
+    """step on stacked fields."""
+    u, v = state.u, state.v
+    work = work or _Workspace(params, source, grid, pairs=1)
+    faces = work.faces = face_gradients(v, grid, work.faces)
+    dt_cfl = compute_dt(state, params, source, cfg, grid, faces).tolist()
+    collapse = [dt < cfg.dt_min for dt in dt_cfl]
+    if all(collapse):
+        zeros = np.zeros(len(u))
+        return state, StepInfo(dt=zeros, clamped=zeros.astype(int),
+                               dt_collapse=np.array(collapse), peaks=(zeros, zeros))
+    t = state.t.tolist()
+    dt = [
+        min(d, cfg.t_end - s) if cfg.t_end - s > 0.0 else d for d, s in zip(dt_cfl, t)
+    ]
+    dt_column = _column(dt, grid.dim)
 
     new_u, new_v = next(pair for pair in work.pairs if pair[0] is not u)
-    source(u, out=new_u)
-    if params.chi != 0.0:
-        _subtract_advection(new_u, u, faces, params.chi, grid, work.tmp)
-    np.multiply(v, -params.beta, out=new_v)
-    new_v += np.multiply(u, params.alpha, out=work.tmp)
+    work.source(u, out=new_u)
+    if np.any(work.chi != 0.0):
+        _subtract_advection(new_u, u, faces, work.chi, grid, work.tmp)
+    np.multiply(v, -work.beta, out=new_v)
+    new_v += np.multiply(u, work.alpha, out=work.tmp)
     if mesh is None and (forcing_u or forcing_v):
         mesh = grid.meshgrid()
     for new, forcing in ((new_u, forcing_u), (new_v, forcing_v)):
         if forcing is not None:
-            new += forcing(mesh, state.t)
-    clamped, peaks = 0, []
-    for new, old, coef in ((new_u, u, params.d1), (new_v, v, params.d2)):
-        new *= dt
+            for row, s in zip(new, t):
+                row += forcing(mesh, s)
+    clamped, peaks = np.zeros(len(u), dtype=int), []
+    for new, old, coef in ((new_u, u, work.d1), (new_v, v, work.d2)):
+        new *= dt_column
         new += old
-        _implicit_diffusion(new, coef, dt, grid, work.tmp)
-        low = new.min()  # NaN: the field's clamps are still counted
-        if not low >= -CLAMP_TOLERANCE:
-            clamped += int(np.count_nonzero(new < -CLAMP_TOLERANCE))
-        if low < 0.0:
+        _implicit_diffusion(new, coef, dt_column, grid, work.tmp)
+        rows = new.reshape(len(u), -1)
+        low = rows.min(axis=1)  # NaN: the point's clamps are still counted
+        if not (low >= -CLAMP_TOLERANCE).all():
+            clamped += np.count_nonzero(rows < -CLAMP_TOLERANCE, axis=1)
+        negative = low < 0.0  # not at a NaN: such a point keeps its values, as alone
+        if negative.all():
             np.maximum(new, 0.0, out=new)
-        peaks.append(float(new.max()))
-    info = StepInfo(dt=dt, clamped=clamped, peaks=tuple(peaks))
-    return State(u=new_u, v=new_v, t=state.t + dt), info
+        else:
+            for row in np.flatnonzero(negative):
+                np.maximum(new[row], 0.0, out=new[row])
+        peaks.append(rows.max(axis=1))
+    if any(collapse):
+        clamped[collapse] = 0
+        dt = [0.0 if c else d for c, d in zip(collapse, dt)]
+    info = StepInfo(dt=np.array(dt), clamped=clamped, dt_collapse=np.array(collapse),
+                    peaks=tuple(peaks))
+    return State(u=new_u, v=new_v, t=np.array([s + d for s, d in zip(t, dt)])), info
 
 
 def run(
@@ -304,54 +418,162 @@ def run(
     forcing_u: Optional[ForcingFn] = None,
     forcing_v: Optional[ForcingFn] = None,
 ) -> Trajectory:
-    """March to t_end, blow-up, dt collapse, or a non-finite u or v,
-    sampling diagnostics every snapshot_stride steps and at blow-up.  The
-    trajectory keeps the initial and final states only, so memory does not
-    grow with the run length, and never writes into state0's arrays; a
-    non-finite final state is kept but not sampled.
+    """March one point: the one-point call of run_batch, which documents the
+    outcomes, the sampling and the states kept."""
+    return run_batch(
+        [state0], [params], [source], grid, cfg, [coeffs3], [coeffs45],
+        forcing_u, forcing_v,
+    )[0]
+
+
+class _Batch:
+    """The points of a run_batch still marching: their indices into its
+    lists, their parameters and sources, and a workspace whose first pair
+    holds their fields at time t."""
+
+    def __init__(self, points, fields, t, params, sources, grid: Grid):
+        self.points = points
+        self.params = [params[i] for i in points]
+        self.sources = [sources[i] for i in points]
+        self.work = _Workspace(self.params, self.sources, grid, pairs=2)
+        u, v = self.work.pairs[0]
+        for row, (field_u, field_v) in enumerate(fields):
+            u[row], v[row] = field_u, field_v
+        self.state = State(u=u, v=v, t=t)
+
+
+def run_batch(
+    states0: Sequence[State],
+    params: Sequence[Parameters],
+    sources: Sequence[SourceFunction],
+    grid: Grid,
+    cfg: SolverConfig,
+    coeffs3: Optional[Sequence[Optional[CoefficientSet3D]]] = None,
+    coeffs45: Optional[Sequence[Optional[CoefficientSet45D]]] = None,
+    forcing_u: Optional[ForcingFn] = None,
+    forcing_v: Optional[ForcingFn] = None,
+) -> List[Trajectory]:
+    """March every point i, (states0[i], params[i], sources[i]) with
+    coefficient sets coeffs3[i] and coeffs45[i] (None: no set), to t_end,
+    blow-up, dt collapse, or a non-finite u or v, sampling diagnostics every
+    snapshot_stride steps and at blow-up; the forcings apply to every point.
+
+    The points step in lockstep on one stack, every active point on every
+    iteration with its own dt and t, so each trajectory equals the point's
+    solo run bit for bit.  A point leaves as soon as it stops and the rest
+    are compacted into a smaller stack, so a stopped point's inf or NaN never
+    enters the others' arithmetic.  A trajectory keeps the initial and final
+    states only, so memory does not grow with the run length, and no step
+    writes into states0's arrays; a non-finite final state is kept but not
+    sampled.  The sources must share one kind.  The line inverses cached
+    for the run are dropped when it ends.
     """
-    state = state0.check(grid)
-    work = _Workspace(grid.cells, pairs=2)
-    series = DiagnosticsSeries()
-    clamp_total = 0
-    series.sample(state, grid, params, clamp_total, coeffs3, coeffs45)
-    states = [state]
+    states0 = [state.check(grid) for state in states0]
+    count = len(states0)
+    coeffs3 = list(coeffs3 or [None] * count)
+    coeffs45 = list(coeffs45 or [None] * count)
+    series = [DiagnosticsSeries() for _ in states0]
+    clamps = np.zeros(count, dtype=int)
+    trajectories: List[Optional[Trajectory]] = [None] * count
     mesh = grid.meshgrid() if (forcing_u or forcing_v) else None
-    outcome = OUTCOME_COMPLETED
+    end = cfg.t_end - 1e-9 * max(1.0, cfg.t_end)
     steps = 0
-    end_tol = 1e-9 * max(1.0, cfg.t_end)
-    if float(np.max(state.u)) > cfg.blowup_linf_threshold:
-        return Trajectory(
-            states=states, diagnostics=series, outcome=OUTCOME_BLOWUP,
-            steps=0, clamp_total=0,
-        )
-    while state.t < cfg.t_end - end_tol:
-        state, info = step(
-            state, params, source, cfg, grid, forcing_u, forcing_v, mesh, work=work
-        )
-        if info.dt_collapse:
-            outcome = OUTCOME_DT_COLLAPSE
-            break
-        steps += 1
-        clamp_total += info.clamped
-        if not all(map(math.isfinite, info.peaks)):
-            outcome = OUTCOME_NONFINITE
-            break
-        blowup = info.peaks[0] > cfg.blowup_linf_threshold
-        if blowup or (steps % cfg.snapshot_stride == 0 and state.t < cfg.t_end - end_tol):
-            series.sample(state, grid, params, clamp_total, coeffs3, coeffs45)
-        if blowup:
-            outcome = OUTCOME_BLOWUP
-            break
-    if outcome == OUTCOME_COMPLETED:
-        if state.t >= cfg.t_end - end_tol:
-            state = State(u=state.u, v=state.v, t=cfg.t_end)
-        series.sample(state, grid, params, clamp_total, coeffs3, coeffs45)
-    states.append(state)
-    return Trajectory(
-        states=states, diagnostics=series, outcome=outcome,
-        steps=steps, clamp_total=clamp_total,
+    batch = _Batch(
+        np.arange(count), [(state.u, state.v) for state in states0],
+        np.array([state.t for state in states0], dtype=float),
+        params, sources, grid,
     )
+
+    def sample(state: State, rows: Optional[List[int]] = None) -> None:
+        """Append a diagnostics row to the series of the given batch rows (all if None)."""
+        points = batch.points
+        if rows is not None and len(rows) < len(points):
+            if not rows:
+                return
+            state = State(u=state.u[rows], v=state.v[rows], t=state.t[rows])
+            points = points[rows]
+        DiagnosticsSeries.sample(
+            [series[i] for i in points], state, grid, [params[i] for i in points],
+            clamps[points].tolist(), [coeffs3[i] for i in points],
+            [coeffs45[i] for i in points],
+        )
+
+    def retire(ends, state: State) -> State:
+        """Close the trajectories of the batch rows in ends, row -> (outcome,
+        the state holding its final fields or None to keep states0 only,
+        steps), and return the state of the remaining rows."""
+        nonlocal batch
+        if not ends:
+            return state
+        rest = [row for row in range(len(batch.points)) if row not in ends]
+        for row, (outcome, final, taken) in ends.items():
+            i = batch.points[row]
+            states = [states0[i]]
+            if final is not None:
+                fields = (final.u[row], final.v[row])
+                if rest:  # copies: a view would keep the whole old stack alive
+                    fields = tuple(field.copy() for field in fields)
+                states.append(State(u=fields[0], v=fields[1], t=float(final.t[row])))
+            trajectories[i] = Trajectory(
+                states=states, diagnostics=series[i], outcome=outcome,
+                steps=taken, clamp_total=int(clamps[i]),
+            )
+        if not rest:
+            batch = None
+            return state
+        batch = _Batch(
+            batch.points[rest], [(state.u[row], state.v[row]) for row in rest],
+            state.t[rest], params, sources, grid,
+        )
+        return batch.state
+
+    state = batch.state
+    sample(state)
+    peaks = state.u.reshape(count, -1).max(axis=1).tolist()
+    state = retire(
+        {row: (OUTCOME_BLOWUP, None, 0)
+         for row, peak in enumerate(peaks) if peak > cfg.blowup_linf_threshold},
+        state,
+    )
+    while batch is not None:
+        if not state.t.max() < end:  # some points reached t_end
+            done = [row for row, t in enumerate(state.t.tolist()) if not t < end]
+            t = state.t.copy()
+            t[done] = cfg.t_end
+            final = State(u=state.u, v=state.v, t=t)
+            sample(final, done)
+            state = retire({row: (OUTCOME_COMPLETED, final, steps) for row in done}, state)
+            if batch is None:
+                break
+        new, info = step(
+            state, batch.params, batch.sources, cfg, grid, forcing_u, forcing_v, mesh,
+            work=batch.work,
+        )
+        steps += 1
+        clamps[batch.points] += info.clamped
+        peak_u, peak_v = info.peaks
+        ends = {}
+        if info.dt_collapse.any() or not (
+            peak_u.max() <= cfg.blowup_linf_threshold and math.isfinite(peak_v.max())
+        ):
+            flags = zip(info.dt_collapse.tolist(), peak_u.tolist(), peak_v.tolist())
+            for row, (collapsed, pu, pv) in enumerate(flags):
+                if collapsed:
+                    ends[row] = (OUTCOME_DT_COLLAPSE, state, steps - 1)
+                elif not (math.isfinite(pu) and math.isfinite(pv)):
+                    ends[row] = (OUTCOME_NONFINITE, new, steps)
+                elif pu > cfg.blowup_linf_threshold:
+                    ends[row] = (OUTCOME_BLOWUP, new, steps)
+        rows = [row for row, (outcome, _, _) in ends.items() if outcome == OUTCOME_BLOWUP]
+        if steps % cfg.snapshot_stride == 0:
+            running = (new.t < end).tolist()
+            rows += [row for row, r in enumerate(running) if r and row not in ends]
+            sample(new, None if len(rows) == len(running) else sorted(rows))
+        elif rows:
+            sample(new, rows)
+        state = retire(ends, new)
+    _line_inverses.cache_clear()
+    return trajectories
 
 
 # ---------------------------------------------------------------------------

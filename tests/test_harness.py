@@ -429,6 +429,19 @@ class TestSweep:
         rows = run_sweep(base, "d1", (1.0, 0.5))
         assert len(rows) == 2 and all(not r["error"] for r in rows)
 
+    def test_parallel_sweep_writes_the_serial_bytes(self, tmp_path, monkeypatch):
+        # 5 points over 2 workers: uneven chunks of 2 and 3, each one batch
+        outputs = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("KSLAB_WORKERS", workers)
+            out = tmp_path / f"workers_{workers}"
+            base = dataclasses.replace(self._base(tmp_path), output_dir=str(out))
+            run_sweep(base, "d1", (1.0, 0.5, 0.25, 2.0, 0.125))
+            outputs[workers] = {
+                path.relative_to(out): path.read_bytes() for path in out.rglob("*.csv")
+            }
+        assert len(outputs["1"]) == 6 and outputs["2"] == outputs["1"]
+
 
 class TestCli:
     def test_version(self, capsys):
@@ -507,6 +520,19 @@ class TestCli:
         path.write_text(one_d_cfg(tmp_path, name="convex-comparison"))
         assert cli(["simulate", "--config", str(path)]) == EXIT_CONFIG
         assert "convex-comparison requires n in {3, 4, 5}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_underflowing_equilibrium_exit_3(self, tmp_path, capsys, command):
+        # kappa/mu = 1e-310 is subnormal: u/c would overflow inside H
+        path = tmp_path / "cfg.cfg"
+        argv = [command, "--config", str(path)]
+        if command == "simulate":
+            path.write_text(one_d_cfg(tmp_path, kappa="1e-310", mu="1.0"))
+        else:
+            path.write_text(one_d_cfg(tmp_path))
+            argv += ["--axis", "kappa", "--values", "1e-310"]
+        assert cli(argv) == EXIT_CONFIG
+        assert "kappa/mu = 1e-310/" in capsys.readouterr().err
 
     def test_bad_worker_setting_exit_3(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KSLAB_WORKERS", "two")

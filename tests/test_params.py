@@ -1,6 +1,9 @@
+import pickle
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kslab.params import Grid, Parameters, SourceFunction, State, validate
@@ -26,6 +29,7 @@ class TestValidate:
             ("alpha", 0.0, "alpha must be positive"),
             ("beta", 0.0, "beta must be positive"),
             ("n", 0, "n must be a positive integer"),
+            ("kappa", 1e-307, "kappa/mu = 1e-307/8 is below the smallest normal"),
         ],
     )
     def test_rejections(self, field, value, message):
@@ -44,6 +48,7 @@ class TestValidate:
     )
     @settings(max_examples=50, deadline=None)
     def test_idempotent(self, d1, d2, chi, kappa, mu):
+        assume(not 0.0 < kappa / mu < sys.float_info.min)  # rejected, see above
         p = make_params(d1=d1, d2=d2, chi=chi, kappa=kappa, mu=mu)
         assert validate(validate(p)) == validate(p)
 
@@ -94,6 +99,13 @@ class TestGrid:
         assert g.spacing == (0.25, 0.25)
         assert g.volume == 2.0
         assert g.cell_volume == pytest.approx(0.0625)
+
+    def test_cached_geometry_keeps_equality_hash_and_pickle(self):
+        g = Grid(dim=2, extents=(2.0, 1.0), cells=(8, 4))
+        fresh = Grid(dim=2, extents=(2.0, 1.0), cells=(8, 4))
+        assert g.spacing is g.spacing and g.cell_volume == 0.0625  # computed once
+        assert g == fresh and hash(g) == hash(fresh)
+        assert pickle.loads(pickle.dumps(g)) == fresh
 
     def test_cell_minimum(self):
         with pytest.raises(ValueError, match="at least 4 cells"):
