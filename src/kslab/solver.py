@@ -7,8 +7,8 @@ per cell per axis for lines of n cells); the chemotactic flux is explicit
 first-order upwind in conservative form, and reactions are explicit.
 
 The kernels step P points at once: their fields stack along a leading point
-axis, shape (P, *grid.cells), and every Parameters or source field that may
-differ by point is a (P, 1, ..., 1) column (_columns).  Each point keeps its
+axis, shape (P, *grid.cells), and every Parameters or source field that
+differs by point is a (P, 1, ..., 1) column (_column).  Each point keeps its
 own dt, t and line inverses, and each of its values comes from the same
 floating-point operations as in a run of that point alone, so a batch
 reproduces solo runs bit for bit.  run_batch marches a batch in lockstep and
@@ -238,7 +238,8 @@ def _line_inverses(n: int, thetas: Tuple[float, ...]) -> np.ndarray:
 
 def _implicit_diffusion(f: np.ndarray, coef, dt, grid: Grid, tmp) -> np.ndarray:
     """Sequential per-axis solves of (I - dt coef Lap_axis) x = f, in place,
-    for one field or a stack of fields with per-point columns coef and dt.
+    for one field or a stack of fields; coef and dt are numbers or per-point
+    columns.
 
     Each axis is one batched matrix product with the points' line inverses,
     cached per (cells on the axis, per-point theta = dt coef / h_axis^2):
@@ -470,6 +471,8 @@ def run_batch(
     """
     states0 = [state.check(grid) for state in states0]
     count = len(states0)
+    if not count:
+        return []
     coeffs3 = list(coeffs3 or [None] * count)
     coeffs45 = list(coeffs45 or [None] * count)
     series = [DiagnosticsSeries() for _ in states0]

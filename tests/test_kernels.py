@@ -119,16 +119,16 @@ def test_successive_steps_share_no_memory():
 
 
 def test_warm_run_peak_memory_in_field_arrays():
-    """A warm 20-step 32^3 run (line inverses cached) peaks at no more
-    than 11 field arrays of traced memory.
+    """A warm 20-step 32^3 run (numpy's first calls done; the line inverses,
+    which run drops when it ends, are rebuilt at 8 KiB each) peaks at no
+    more than 11 field arrays of traced memory.
 
-    run holds 9.9 fields: its workspace (three face-gradient arrays of 31/32
-    field each, a scratch field, two (u, v) output pairs) and the two
+    run holds 10 fields: its workspace (three face-gradient arrays shaped
+    like the field, a scratch field, two (u, v) output pairs) and the two
     scratch fields of the diagnostics table.  On top come numpy's ufunc
-    buffers for strided operands, 8192 elements (1/4 field here) each and
-    up to three at once: 10.76 fields measured.  One more full-grid
-    temporary anywhere would exceed 11; the allocating step and sample
-    that these kernels replaced peaked at 11.9 on the same run.
+    buffers for the few strided passes left: 10.23 fields measured.  One
+    more full-grid temporary anywhere would exceed 11; the allocating step
+    and sample that these kernels replaced peaked at 11.9 on the same run.
     """
     state0, params, source, grid = bump_run_inputs(32, 3)
     cfg = SolverConfig(dt_initial=0.005, t_end=0.1, snapshot_stride=5)
