@@ -467,7 +467,7 @@ def run_batch(
     states only, so memory does not grow with the run length, and no step
     writes into states0's arrays; a non-finite final state is kept but not
     sampled.  The sources must share one kind.  The line inverses cached
-    for the run are dropped when it ends.
+    for the run, and each series' sampling scratch, are dropped when it ends.
     """
     states0 = [state.check(grid) for state in states0]
     count = len(states0)
@@ -576,6 +576,8 @@ def run_batch(
             sample(new, rows)
         state = retire(ends, new)
     _line_inverses.cache_clear()
+    for table in series:
+        table._scratch = ()
     return trajectories
 
 

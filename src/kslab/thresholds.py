@@ -47,6 +47,11 @@ BRANCH_GENERAL = "general"
 # margin >= -REL_MARGIN * scale; keeps verdicts robust near the threshold.
 REL_MARGIN = 1e-12
 
+# the search grid's axis as fractions of (d1, d2), and select_coefficients_45d's
+# eps3 multiples of chi^2/mu
+_GRID_FACTORS = np.geomspace(1e-3, 0.999, 64)
+_EPS3_FACTORS = np.geomspace(1e-3, 1e3, 17)
+
 
 def _require_dimension(n: int) -> None:
     if n not in (3, 4, 5):
@@ -87,7 +92,9 @@ class HMinimum:
     eta: float
 
 
-def _grid_compass_min(f, d1: float, d2: float) -> Tuple[float, float, float]:
+def _grid_compass_min(
+    f, d1: float, d2: float, stop: Optional[float] = None
+) -> Tuple[float, float, float]:
     """Minimize f(eps, eta) over (0, d1) x (0, d2); returns (value, eps, eta).
 
     Coarse 64x64 logarithmic grid (f must accept arrays), then compass
@@ -108,15 +115,20 @@ def _grid_compass_min(f, d1: float, d2: float) -> Tuple[float, float, float]:
     polls depend only on its starting point, the steps (d1/8) 2**-j are
     exactly the halved ones, x + (-s) and x + 0 round like x - s and x,
     and f's array operations round like its scalar ones.
+
+    With stop, the search returns as soon as its best value is at most
+    stop: after the grid, or after an iteration that moved.  A move needs
+    fc < fx, so the best value never rises and the full search's result
+    would be at most stop too; a caller that reads only whether the minimum
+    is <= stop gets the full search's answer.  A NaN best value never
+    satisfies <=, so such a search runs to the end.
     """
-    grid_e = d1 * np.geomspace(1e-3, 0.999, 64)
-    grid_g = d2 * np.geomspace(1e-3, 0.999, 64)
-    ee, gg = np.meshgrid(grid_e, grid_g, indexing="ij")
+    ee, gg = np.meshgrid(d1 * _GRID_FACTORS, d2 * _GRID_FACTORS, indexing="ij")
     vals = f(ee, gg)
     k = int(np.argmin(vals))
     x, y, fx = float(ee.flat[k]), float(gg.flat[k]), float(vals.flat[k])
     rounds, polls = 0, 0
-    while rounds < 40:
+    while rounds < 40 and not (stop is not None and fx <= stop):
         halving = 0.5 ** np.arange(rounds, 40)[:, None]
         cx = x + d1 / 8.0 * halving * (1.0, -1.0, 0.0, 0.0)
         cy = y + d2 / 8.0 * halving * (0.0, 0.0, 1.0, -1.0)
@@ -612,12 +624,21 @@ def _relaxed_overlap_45d(params, mu, eps, eta):
     return np.where(ok6 & ok7, overlap, -np.inf)
 
 
-def _max_relaxed_overlap_45d(params, mu):
-    """Maximize the relaxed overlap over (eps, eta); returns (value, eps, eta)."""
+def _max_relaxed_overlap_45d(params, mu, stop=None):
+    """Maximize the relaxed overlap over (eps, eta); returns (value, eps, eta).
+
+    stop bounds the negated overlap as in _grid_compass_min.
+    """
     value, eps, eta = _grid_compass_min(
-        lambda e, g: -_relaxed_overlap_45d(params, mu, e, g), params.d1, params.d2
+        lambda e, g: -_relaxed_overlap_45d(params, mu, e, g), params.d1, params.d2, stop
     )
     return -value, eps, eta
+
+
+def _relaxation_feasible(params, mu) -> bool:
+    """Whether the maximized relaxed overlap at mu is nonnegative, decided
+    by the first point with overlap >= 0 (stop = -0.0 on its negation)."""
+    return _max_relaxed_overlap_45d(params, mu, -0.0)[0] >= 0.0
 
 
 def feasibility_floor_45d(params: Parameters) -> float:
@@ -631,6 +652,14 @@ def feasibility_floor_45d(params: Parameters) -> float:
     mu0: the additive threshold chain drops the coupling between the
     delta-ratio window and the cross-absorption budget, so feasibility of
     the verbatim system starts only around 1.7 mu0 and beyond.
+
+    The bisection reads only the sign of the maximized overlap, so each of
+    its 42 decisions (two bracket ends, 40 midpoints) stops the search at
+    the first point with overlap >= 0 (_relaxation_feasible).  That point
+    is usually a grid cell, and an infeasible mu has overlap -inf
+    everywhere, so a decision takes one or two objective calls.  The
+    decisions, and so the floor, are those of full searches bit for bit;
+    the 40 steps stay, as fewer would move the floor.
     """
     validate(params)
     if params.n not in (4, 5):
@@ -639,13 +668,13 @@ def feasibility_floor_45d(params: Parameters) -> float:
         return 0.0
     mu0_value, _ = mu0_general(params, convex=False)
     lo, hi = mu0_value, 64.0 * mu0_value
-    if _max_relaxed_overlap_45d(params, lo)[0] >= 0.0:
+    if _relaxation_feasible(params, lo):
         return lo
-    if _max_relaxed_overlap_45d(params, hi)[0] < 0.0:
+    if not _relaxation_feasible(params, hi):
         return hi
     for _ in range(40):
         mid = math.sqrt(lo * hi)
-        if _max_relaxed_overlap_45d(params, mid)[0] >= 0.0:
+        if _relaxation_feasible(params, mid):
             hi = mid
         else:
             lo = mid
@@ -692,7 +721,7 @@ def select_coefficients_45d(params: Parameters, mu: float) -> CoefficientSet45D:
 
     best_score, best = -math.inf, None
     for eps_seed, eta_seed in seeds:
-        for eps3 in chi2 / mu * np.geomspace(1e-3, 1e3, 17):
+        for eps3 in chi2 / mu * _EPS3_FACTORS:
             for score, cand in _candidates_45d(params, mu, eps_seed, eta_seed, eps3):
                 if score > best_score:
                     best_score, best = score, cand
