@@ -113,14 +113,21 @@ def _cmd_fit(args) -> int:
     except OSError as exc:
         raise harness.ConfigError(f"cannot read csv {args.csv}: {exc}")
     reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or args.column not in reader.fieldnames:
-        raise harness.ConfigError(f"column {args.column!r} not in {args.csv}")
+    for name in (args.column, "t"):
+        if name not in (reader.fieldnames or ()):
+            raise harness.ConfigError(f"column {name!r} not in {args.csv}")
     times, values = [], []
-    for row in reader:
-        cell = row[args.column]
-        if cell:
-            times.append(float(row["t"]))
-            values.append(float(cell))
+    for line, row in enumerate(reader, start=1):
+        if not row[args.column]:
+            continue
+        for name, out in (("t", times), (args.column, values)):
+            try:
+                out.append(float(row[name]))
+            except (TypeError, ValueError):  # TypeError: a short row's None
+                raise harness.ConfigError(
+                    f"column {name!r}, data row {line} of {args.csv}: "
+                    f"not a number: {row[name]!r}"
+                )
     try:
         fit = diag.fit_decay(times, values, (start, end))
     except ValueError as exc:

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own search routines: the h oracle
 is a dense uniform grid scan with local refinement, nothing smarter, and
-the compass oracle polls one point per objective call.  The step and
+the compass oracle polls one point per objective call.  The floor oracle
+runs the library's full search at every bisection step.  The step and
 sample oracles are the solver and diagnostics formulas as first written,
 one fresh array per intermediate.
 """
@@ -12,7 +13,7 @@ import math
 import numpy as np
 
 from kslab.solver import CLAMP_TOLERANCE, _line_inverse
-from kslab.thresholds import h_objective
+from kslab.thresholds import _max_relaxed_overlap_45d, h_objective, mu0_general
 
 
 def h_bruteforce(n, d1, d2, cells=2000, refine=2):
@@ -76,6 +77,31 @@ def compass_reference(f, d1, d2):
         sx *= 0.5
         sy *= 0.5
     return (fx, x, y), moved_iterations
+
+
+def floor_reference(params):
+    """The certified 4/5-D floor with a full search at every bisection step:
+    40 geometric bisection steps over [mu0, 64 mu0] on whether the
+    maximized relaxed overlap is nonnegative."""
+    if params.chi == 0.0:
+        return 0.0
+    lo = mu0_general(params)[0]
+    hi = 64.0 * lo
+
+    def feasible(mu):
+        return _max_relaxed_overlap_45d(params, mu)[0] >= 0.0
+
+    if feasible(lo):
+        return lo
+    if not feasible(hi):
+        return hi
+    for _ in range(40):
+        mid = math.sqrt(lo * hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo
 
 
 def _two_slices(axis, ndim):

@@ -494,6 +494,26 @@ class TestCli:
             "fit", "--csv", str(csv_path), "--column", "bar", "--window", "0,1",
         ]) == EXIT_CONFIG
 
+    def test_fit_missing_time_column(self, tmp_path, capsys):
+        csv_path = tmp_path / "x.csv"
+        csv_path.write_text("time,foo\n0,1\n")
+        assert cli([
+            "fit", "--csv", str(csv_path), "--column", "foo", "--window", "0,1",
+        ]) == EXIT_CONFIG
+        assert "column 't' not in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,column", [("t,foo\n0,1\n1,abc\n", "'foo'"), ("t,foo\n0,1\nx,2\n", "'t'")]
+    )
+    def test_fit_non_numeric_cell(self, tmp_path, capsys, text, column):
+        csv_path = tmp_path / "x.csv"
+        csv_path.write_text(text)
+        assert cli([
+            "fit", "--csv", str(csv_path), "--column", "foo", "--window", "0,1",
+        ]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"column {column}, data row 2 of" in err and "not a number" in err
+
     def test_simulate_config_error_exit_3(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(minimal_cfg(tmp_path, d1="-1"))

@@ -393,6 +393,24 @@ class TestRun:
         assert t[-1] == traj.states[-1].t and len(t) == traj.steps + 1
         assert traj.diagnostics.column("Linf_u")[-1] > 1.5
 
+    def test_finished_run_drops_sample_scratch(self):
+        # the trajectory pins no scratch fields once run returns, and its
+        # series still samples afterwards
+        p = unit_params()
+        g = Grid(dim=3, extents=(1, 1, 1), cells=(32, 32, 32))
+        st = initial_condition(
+            "gaussian-bump", g, base_u=0.125, base_v=0.125, amplitude=1.0
+        )
+        cfg = SolverConfig(dt_initial=0.01, t_end=0.02, snapshot_stride=1)
+        traj = run(st, p, logistic(p), g, cfg)
+        series = traj.diagnostics
+        assert traj.outcome == OUTCOME_COMPLETED and series._scratch == ()
+        rows = len(series.times)
+        series.sample(traj.states[-1], g, p, traj.clamp_total)
+        assert len(series.times) == rows + 1
+        assert series.column("mass_u")[-1] == series.column("mass_u")[-2]
+        assert series._scratch[0].shape == (1, 32, 32, 32)
+
     def test_one_dimensional_strong_chemotaxis_stays_bounded(self):
         # mu above the 3-D general-branch analog keeps the run tame
         p = unit_params(chi=5.0, mu=40.0, n=1)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kslab import thresholds
 from kslab.params import Parameters
 from kslab.thresholds import (
     BRANCH_CONVEX,
@@ -12,6 +13,7 @@ from kslab.thresholds import (
     CoefficientSet3D,
     CoefficientSet45D,
     _grid_compass_min,
+    _relaxation_feasible,
     _relaxed_overlap_45d,
     coefficient_recipe_3d,
     feasibility_floor_45d,
@@ -27,7 +29,7 @@ from kslab.thresholds import (
     verify_system_45d,
 )
 
-from oracles import compass_reference, h_bruteforce
+from oracles import compass_reference, floor_reference, h_bruteforce
 
 SQRT10 = math.sqrt(10.0)
 MU0_UNIT_3D = 9.0 / (SQRT10 - 2.0)  # 7.743416490252569
@@ -189,6 +191,88 @@ class TestGridCompass:
             assert value == math.inf and moved == 0
         else:
             assert value < 0.0 and moved > 0
+
+
+class TestGridCompassStop:
+    """The early exit at stop ends a prefix of the full search."""
+
+    @staticmethod
+    def _objective(case):
+        if case[0] == "h":
+            n, d1, d2 = case[1:]
+            return (lambda e, g: h_objective(n, d1, d2, e, g)), d1, d2
+        n, factor = case[1:]
+        p = make_params(n=n)
+        mu = factor * mu0_general(p)[0]
+        return (lambda e, g: -_relaxed_overlap_45d(p, mu, e, g)), p.d1, p.d2
+
+    @pytest.mark.parametrize(
+        "case",
+        [("h", 4, 1.0, 1.0), ("h", 5, 2.0, 0.5), ("overlap", 4, 1.2), ("overlap", 5, 2.5)],
+    )
+    def test_prefix_of_full_search(self, case):
+        f, d1, d2 = self._objective(case)
+        values = []
+
+        def counted(e, g):
+            values.append(f(e, g))
+            return values[-1]
+
+        full = _grid_compass_min(counted, d1, d2)
+        full_calls, grid_best = len(values), float(np.min(values[0]))
+        stops = [-0.0, math.inf, full[0], grid_best]
+        if math.isfinite(full[0]):
+            stops += [np.nextafter(full[0], -math.inf), 0.5 * (full[0] + grid_best)]
+        for stop in stops:
+            values.clear()
+            got = _grid_compass_min(counted, d1, d2, stop)
+            if full[0] <= stop:
+                assert full[0] <= got[0] <= stop and len(values) <= full_calls
+                if grid_best <= stop:
+                    assert len(values) == 1
+            else:
+                assert got == full and len(values) == full_calls
+
+    def test_nan_best_value_runs_to_the_end(self):
+        def nan_everywhere(e, g):
+            return np.full(np.shape(e), np.nan)
+
+        value, _, _ = _grid_compass_min(nan_everywhere, 1.0, 1.0, math.inf)
+        assert math.isnan(value)
+
+
+class TestFeasibilityFloor:
+    """The sign-decided bisection against full searches at every step."""
+
+    @pytest.mark.parametrize(
+        "kw", [dict(n=4), dict(n=5), dict(n=4, alpha=2.0), dict(n=4, chi=0.0)]
+    )
+    def test_matches_full_search_bisection(self, kw):
+        p = make_params(**kw)
+        assert feasibility_floor_45d(p) == floor_reference(p)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_at_most_two_objective_calls_per_decision(self, monkeypatch, n):
+        calls, per_decision = [], []
+
+        def counted(*args):
+            calls.append(args[1])
+            return _relaxed_overlap_45d(*args)
+
+        def decide(params, mu):
+            before = len(calls)
+            feasible = _relaxation_feasible(params, mu)
+            per_decision.append(len(calls) - before)
+            return feasible
+
+        monkeypatch.setattr(thresholds, "_relaxed_overlap_45d", counted)
+        monkeypatch.setattr(thresholds, "_relaxation_feasible", decide)
+        feasibility_floor_45d(make_params(n=n))
+        # two bracket ends and 40 midpoints; the full searches took 697 and
+        # 510 calls for these two sets
+        assert len(per_decision) == 42
+        assert 1 <= min(per_decision) and max(per_decision) <= 2
+        assert len(calls) == sum(per_decision) <= 84
 
 
 class TestMu1AndGamma:
