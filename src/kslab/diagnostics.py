@@ -19,7 +19,7 @@ from .thresholds import CoefficientSet3D, CoefficientSet45D, ThresholdReport
 
 __all__ = [
     "lp_norm",
-    "face_gradients",
+    "face_gradient",
     "grad_magnitude_squared",
     "functional_z3",
     "functional_z45",
@@ -50,24 +50,22 @@ def lp_norm(fld: np.ndarray, p, grid: Grid) -> float:
     return float((total * grid.cell_volume) ** (1.0 / p))
 
 
-def face_gradients(v: np.ndarray, grid: Grid, out=None) -> List[np.ndarray]:
-    """Face difference quotients of v per grid axis (the last grid.dim axes
-    of v, which may stack points along a leading axis), each shaped like v:
-    entry i along axis k is (v_{i+1} - v_i) / h_k, the quotient across the
-    face between cells i and i + 1, and the last entry, a boundary face, is
-    0 (no flux).  Face i then sits at cell i's index, so the difference is
-    one pass over the flat array, shifted by the axis stride; into out
-    (contiguous, an earlier result) if given."""
+def face_gradient(v: np.ndarray, grid: Grid, axis: int, out=None) -> np.ndarray:
+    """Face difference quotients of v along one grid axis (of the last
+    grid.dim axes of v, which may stack points along a leading axis), shaped
+    like v: entry i along the axis is (v_{i+1} - v_i) / h, the quotient
+    across the face between cells i and i + 1, and the last entry, a
+    boundary face, is 0 (no flux).  Face i then sits at cell i's index, so
+    the difference is one pass over the flat array, shifted by the axis
+    stride; into out (contiguous, shaped like v) if given."""
     lead = v.ndim - grid.dim
-    if out is None:
-        out = [np.empty(v.shape) for _ in range(grid.dim)]
+    g = np.empty(v.shape) if out is None else out
+    stride = math.prod(grid.cells[axis + 1:])
     flat = v.reshape(-1)
-    for k, g in enumerate(out):
-        stride = math.prod(grid.cells[k + 1:])
-        np.subtract(flat[stride:], flat[:-stride], out=g.reshape(-1)[:-stride])
-        g[(slice(None),) * (lead + k) + (-1,)] = 0.0  # across lines and points: not a face
-        g /= grid.spacing[k]
-    return out
+    np.subtract(flat[stride:], flat[:-stride], out=g.reshape(-1)[:-stride])
+    g[(slice(None),) * (lead + axis) + (-1,)] = 0.0  # across lines and points: not a face
+    g /= grid.spacing[axis]
+    return g
 
 
 def grad_magnitude_squared(v: np.ndarray, grid: Grid, out=None, tmp=None) -> np.ndarray:
@@ -204,7 +202,6 @@ class DiagnosticsSeries:
             for name in CSV_COLUMNS + _AUDIT_COLUMNS
         }
     )
-    _scratch: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @property
     def times(self) -> array:
@@ -218,15 +215,17 @@ class DiagnosticsSeries:
         clamp_total: int,
         coeffs3: Optional[CoefficientSet3D] = None,
         coeffs45: Optional[CoefficientSet45D] = None,
+        scratch: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
         """Append one row.  |grad v|^2 and the sums of powers are formed once
-        (_moments) in two reused scratch fields; sup norms come from extremes.
+        (_moments) in two scratch fields; sup norms come from extremes.
 
         On stacked fields (a leading point axis and an array t, as run_batch
         samples) self, params, clamp_total, coeffs3 and coeffs45 are
         sequences with one entry per point, and one batched pass appends one
-        row to each series.  A stack of several points is small (run_sweep's
-        budget) and takes fresh scratch; one point's series keeps its own.
+        row to each series.  scratch is two contiguous stacks shaped like the
+        stacked fields to work in (run_batch passes its step workspace's,
+        idle between steps); without it the call allocates two.
         """
         stacked = state.u.ndim > grid.dim
         if stacked:
@@ -237,12 +236,7 @@ class DiagnosticsSeries:
             series, points, clamps = [self], [params], [clamp_total]
             sets3, sets45 = [coeffs3], [coeffs45]
             u, v = state.u[None], state.v[None]
-        if len(series) > 1:
-            scratch = (np.empty(u.shape), np.empty(u.shape))
-        else:
-            if not series[0]._scratch or series[0]._scratch[0].shape != u.shape:
-                series[0]._scratch = (np.empty(u.shape), np.empty(u.shape))
-            scratch = series[0]._scratch
+        scratch = scratch or (np.empty(u.shape), np.empty(u.shape))
         moments = _moments(u, v, grid, scratch, sets3, sets45)
         u_lo, u_hi, v_lo, v_hi = (
             reduce(x.reshape(len(x), -1), axis=1).tolist()

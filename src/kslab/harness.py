@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -661,6 +660,8 @@ def run_sweep(
     bounds = [len(points) * k // workers for k in range(workers + 1)]
     chunks = [(base, axis, points[a:b], out) for a, b in zip(bounds, bounds[1:])]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # with multiprocessing: only here
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = [row for chunk in pool.map(_sweep_chunk, chunks) for row in chunk]
     else:

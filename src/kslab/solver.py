@@ -13,10 +13,12 @@ own dt, t and line inverses, and each of its values comes from the same
 floating-point operations as in a run of that point alone, so a batch
 reproduces solo runs bit for bit.  run_batch marches a batch in lockstep and
 run is its one-point call; step and compute_dt also take a single field pair.
-A step takes its intermediates (face gradients of v, one scratch stack) and
-its output (u, v) pair from a workspace: run_batch keeps one with two pairs
-that alternate, so a warm run allocates no full-grid arrays; step alone
-stays pure.
+A step streams the grid axes (advection does not depend on dt): each axis's
+face gradient of v, in one workspace stack, gives its extremes to the dt
+budget and its upwind flux to f(u).  A workspace also holds a scratch stack
+and output (u, v) pairs: run_batch keeps one with two pairs that alternate
+and samples in its two scratch stacks, so a warm run holds six full-grid
+stacks and allocates none; step alone stays pure.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .diagnostics import DiagnosticsSeries, face_gradients
+from .diagnostics import DiagnosticsSeries, face_gradient
 from .params import Grid, Parameters, SourceFunction, State
 from .thresholds import CoefficientSet3D, CoefficientSet45D
 
@@ -139,7 +141,7 @@ def compute_dt(
     source: SourceFunction,
     cfg: SolverConfig,
     grid: Grid,
-    face_grads: Optional[List[np.ndarray]] = None,
+    face_extremes: Optional[List[List[Tuple[float, float]]]] = None,
 ) -> float:
     """CFL-limited step before the end-of-run cap.
 
@@ -151,23 +153,24 @@ def compute_dt(
     with steep gradients on both sides of a cell can drive the cell
     negative, and step clamps and counts it.  Implicit diffusion adds no
     restriction.  max|dv| and L come from the extremes of the face gradients
-    and of u: no |.| copies, and exact, so dt is bit-identical.  On stacked
-    fields params and source are sequences, one entry per point, and dt is
-    an array of one step per point.
+    and of u: no |.| copies, and exact, so dt is bit-identical.  step passes
+    the face gradients' extremes per axis (_extremes), gathered while it
+    streams the axes; without them they are taken here, one axis at a time
+    in one face array.  On stacked fields params and source are sequences,
+    one entry per point, and dt is an array of one step per point.
     """
     if state.u.ndim == grid.dim:
         params, source = [params], [source]
     count = len(params)
-
-    def extremes(a):
-        rows = a.reshape(count, -1)
-        return list(zip(rows.min(axis=1).tolist(), rows.max(axis=1).tolist()))
-
-    if face_grads is None:
-        face_grads = face_gradients(state.v, grid)
-    gmax = [[max(hi, -lo) for lo, hi in extremes(g)] for g in face_grads]
-    dts = []
-    for point, (prm, src, (lo, hi)) in enumerate(zip(params, source, extremes(state.u))):
+    if face_extremes is None:
+        face = np.empty(state.v.shape)
+        face_extremes = [
+            _extremes(face_gradient(state.v, grid, axis, face), count)
+            for axis in range(grid.dim)
+        ]
+    gmax = [[max(hi, -lo) for lo, hi in axis] for axis in face_extremes]
+    dts, extremes = [], _extremes(state.u, count)
+    for point, (prm, src, (lo, hi)) in enumerate(zip(params, source, extremes)):
         dt = cfg.dt_initial
         abs_chi = abs(prm.chi)
         if abs_chi > 0.0:
@@ -182,27 +185,33 @@ def compute_dt(
     return np.array(dts) if state.u.ndim > grid.dim else dts[0]
 
 
-def _subtract_advection(du, u, face_grads: List[np.ndarray], chi, grid: Grid, tmp):
-    """du -= div(chi u grad v) with upwind u on faces; zero boundary flux.
-    With w = chi g / h, the flux over h, w * (u_lo if w > 0 else u_hi), is
-    max(w, 0) u_lo + min(w, 0) u_hi: no gather.  On face_gradients' layout
-    u_lo is u itself, and u_hi and the cells downstream of each face are u
-    and du shifted by the axis stride in flat memory, so every pass is
-    contiguous; the zero boundary faces make the shifts across lines and
-    points add zeros.  It overwrites face_grads; tmp is a scratch field.  On
-    stacked fields chi is a number or a per-point column."""
+def _extremes(a: np.ndarray, count: int) -> List[Tuple[float, float]]:
+    """(min, max) of each of the count points stacked in a."""
+    rows = a.reshape(count, -1)
+    return list(zip(rows.min(axis=1).tolist(), rows.max(axis=1).tolist()))
+
+
+def _subtract_advection(du, u, g, axis: int, chi, grid: Grid, tmp):
+    """du -= the axis term of div(chi u grad v), upwind u on faces, zero
+    boundary flux; g = face_gradient(v, grid, axis).  With w = chi g / h, the
+    flux over h, w * (u_lo if w > 0 else u_hi), is max(w, 0) u_lo + min(w, 0)
+    u_hi: no gather.  On face_gradient's layout u_lo is u itself, and u_hi
+    and the cells downstream of each face are u and du shifted by the axis
+    stride in flat memory, so every pass is contiguous; the zero boundary
+    faces make the shifts across lines and points add zeros.  It overwrites
+    g; tmp is a scratch field.  On stacked fields chi is a number or a
+    per-point column."""
     du_flat, u_flat, up = du.reshape(-1), u.reshape(-1), tmp.reshape(-1)
-    for axis, w in enumerate(face_grads):
-        stride = math.prod(grid.cells[axis + 1:])
-        w *= chi / grid.spacing[axis]
-        w = w.reshape(-1)
-        np.maximum(w, 0.0, out=up)
-        up *= u_flat
-        np.minimum(w, 0.0, out=w)
-        w[:-stride] *= u_flat[stride:]
-        w += up
-        du_flat -= w
-        du_flat[stride:] += w[:-stride]
+    stride = math.prod(grid.cells[axis + 1:])
+    g *= chi / grid.spacing[axis]
+    w = g.reshape(-1)
+    np.maximum(w, 0.0, out=up)
+    up *= u_flat
+    np.minimum(w, 0.0, out=w)
+    w[:-stride] *= u_flat[stride:]
+    w += up
+    du_flat -= w
+    du_flat[stride:] += w[:-stride]
 
 
 def _line_inverse(n: int, theta: float) -> np.ndarray:
@@ -296,15 +305,16 @@ def _column(values: Sequence[float], dim: int):
 
 
 class _Workspace:
-    """Intermediates of steps of P points on one grid, and the points'
-    coefficients as _column values; see the module notes."""
+    """Stacks of steps of P points on one grid (face, for one axis's face
+    gradient at a time, and tmp, both dead between steps; the (u, v) output
+    pairs), and the points' coefficients as _column values."""
 
     def __init__(self, params: Sequence[Parameters], sources: Sequence[SourceFunction],
                  grid: Grid, pairs: int):
         if len({source.kind for source in sources}) > 1:
             raise ValueError("the points of a batch need one kind of source")
         shape = (len(params),) + grid.cells
-        self.faces: Optional[List[np.ndarray]] = None  # set by face_gradients
+        self.face = np.empty(shape)
         self.tmp = np.empty(shape)
         self.pairs = [(np.empty(shape), np.empty(shape)) for _ in range(pairs)]
         for name in ("d1", "d2", "chi", "alpha", "beta"):
@@ -359,8 +369,15 @@ def _step_points(state, params, source, cfg, grid, forcing_u, forcing_v, mesh, w
     """step on stacked fields."""
     u, v = state.u, state.v
     work = work or _Workspace(params, source, grid, pairs=1)
-    faces = work.faces = face_gradients(v, grid, work.faces)
-    dt_cfl = compute_dt(state, params, source, cfg, grid, faces).tolist()
+    new_u, new_v = next(pair for pair in work.pairs if pair[0] is not u)
+    work.source(u, out=new_u)
+    advect, face_extremes = np.any(work.chi != 0.0), []
+    for axis in range(grid.dim):  # advection does not depend on dt
+        g = face_gradient(v, grid, axis, work.face)
+        face_extremes.append(_extremes(g, len(u)))
+        if advect:
+            _subtract_advection(new_u, u, g, axis, work.chi, grid, work.tmp)
+    dt_cfl = compute_dt(state, params, source, cfg, grid, face_extremes).tolist()
     collapse = [dt < cfg.dt_min for dt in dt_cfl]
     if all(collapse):
         zeros = np.zeros(len(u))
@@ -371,11 +388,6 @@ def _step_points(state, params, source, cfg, grid, forcing_u, forcing_v, mesh, w
         min(d, cfg.t_end - s) if cfg.t_end - s > 0.0 else d for d, s in zip(dt_cfl, t)
     ]
     dt_column = _column(dt, grid.dim)
-
-    new_u, new_v = next(pair for pair in work.pairs if pair[0] is not u)
-    work.source(u, out=new_u)
-    if np.any(work.chi != 0.0):
-        _subtract_advection(new_u, u, faces, work.chi, grid, work.tmp)
     np.multiply(v, -work.beta, out=new_v)
     new_v += np.multiply(u, work.alpha, out=work.tmp)
     if mesh is None and (forcing_u or forcing_v):
@@ -466,8 +478,9 @@ def run_batch(
     enters the others' arithmetic.  A trajectory keeps the initial and final
     states only, so memory does not grow with the run length, and no step
     writes into states0's arrays; a non-finite final state is kept but not
-    sampled.  The sources must share one kind.  The line inverses cached
-    for the run, and each series' sampling scratch, are dropped when it ends.
+    sampled.  The sources must share one kind.  Samples work in the step
+    workspace's scratch stacks, and the line inverses cached for the run are
+    dropped when it ends.
     """
     states0 = [state.check(grid) for state in states0]
     count = len(states0)
@@ -499,6 +512,7 @@ def run_batch(
             [series[i] for i in points], state, grid, [params[i] for i in points],
             clamps[points].tolist(), [coeffs3[i] for i in points],
             [coeffs45[i] for i in points],
+            scratch=(batch.work.face[:len(points)], batch.work.tmp[:len(points)]),
         )
 
     def retire(ends, state: State) -> State:
@@ -576,8 +590,6 @@ def run_batch(
             sample(new, rows)
         state = retire(ends, new)
     _line_inverses.cache_clear()
-    for table in series:
-        table._scratch = ()
     return trajectories
 
 

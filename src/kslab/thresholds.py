@@ -434,6 +434,11 @@ def verify_system_45d(
     """Evaluate the seven 4/5-D dissipation inequalities plus the ratio
     constraint coupling the third and fourth of them."""
     validate(params)
+    return _system_45d(params, mu, c)
+
+
+def _system_45d(params: Parameters, mu: float, c: CoefficientSet45D) -> SystemCheck:
+    """verify_system_45d on params already validated."""
     n, d1, d2 = params.n, params.d1, params.d2
     alpha, chi2 = params.alpha, params.chi * params.chi
     dsum2 = (d1 + d2) ** 2
@@ -565,7 +570,7 @@ def _candidates_45d(params, mu, eps, eta, eps3, w=1e-6):
             )
         except ValueError:
             continue
-        check = verify_system_45d(params, mu, cand)
+        check = _system_45d(params, mu, cand)
         if not check.passed:
             continue
         score = min(

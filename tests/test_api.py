@@ -49,15 +49,26 @@ def test_package_imports_resolve():
     assert [n for n in names if not hasattr(kslab, n)] == []
 
 
-def test_import_loads_no_scipy():
+def loaded_by_import(module, package="kslab"):
+    """Whether a fresh interpreter has module loaded after importing package."""
     src = str(Path(kslab.__file__).resolve().parents[1])
-    probe = "import sys, kslab; print('scipy' in sys.modules)"
+    probe = f"import sys, {package}; print({module!r} in sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True, timeout=60,
     )
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip() == "True"
+
+
+def test_import_loads_no_scipy():
+    assert not loaded_by_import("scipy")
+
+
+@pytest.mark.parametrize("package", ["kslab", "kslab.cli"])
+def test_import_loads_no_process_pool(package):
+    # only a sweep with KSLAB_WORKERS > 1 imports concurrent.futures
+    assert not loaded_by_import("concurrent.futures", package)
 
 
 @pytest.mark.parametrize(

@@ -5,12 +5,12 @@ import math
 import tracemalloc
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as hs
 from hypothesis.extra.numpy import arrays
 
 from kslab.diagnostics import DiagnosticsSeries
-from kslab.params import Grid, Parameters, SourceFunction, State
+from kslab.params import Grid, Parameters, SourceFunction, State, validate
 from kslab.solver import SolverConfig, initial_condition, run, step
 from kslab.thresholds import CoefficientSet3D, CoefficientSet45D
 
@@ -28,8 +28,8 @@ REL = 1e-13
 
 @hs.composite
 def problems(draw):
-    """A 1-, 2- or 3-D grid of 4 to 8 cells per axis, admissible
-    parameters, nonnegative fields (u, v) on it and a CFL safety factor
+    """A 1-, 2- or 3-D grid of 4 to 8 cells per axis, parameters that
+    validate accepts, nonnegative fields (u, v) on it and a CFL safety factor
     that may allow clamps."""
     dim = draw(hs.integers(1, 3))
     cells = tuple(draw(hs.integers(4, 8)) for _ in range(dim))
@@ -40,6 +40,10 @@ def problems(draw):
         alpha=draw(positive), beta=draw(positive),
         kappa=draw(hs.floats(-3.0, 3.0)), mu=draw(positive), n=dim,
     )
+    try:
+        validate(params)
+    except ValueError:  # a subnormal kappa/mu, which no config reaches
+        reject()
     fields = arrays(float, cells, elements=hs.floats(0.0, 10.0))
     grid = Grid(dim=dim, extents=extents, cells=cells)
     return grid, params, draw(fields), draw(fields), draw(hs.floats(0.01, 1.0))
@@ -121,14 +125,15 @@ def test_successive_steps_share_no_memory():
 def test_warm_run_peak_memory_in_field_arrays():
     """A warm 20-step 32^3 run (numpy's first calls done; the line inverses,
     which run drops when it ends, are rebuilt at 8 KiB each) peaks at no
-    more than 11 field arrays of traced memory.
+    more than 7 field arrays of traced memory.
 
-    run holds 10 fields: its workspace (three face-gradient arrays shaped
-    like the field, a scratch field, two (u, v) output pairs) and the two
-    scratch fields of the diagnostics table.  On top come numpy's ufunc
-    buffers for the few strided passes left: 10.23 fields measured.  One
-    more full-grid temporary anywhere would exceed 11; the allocating step
-    and sample that these kernels replaced peaked at 11.9 on the same run.
+    run holds 6 fields, all in its step workspace: one face-gradient array,
+    which each axis reuses in turn, a scratch field (tmp), and two (u, v)
+    output pairs.  Sampling works in the face array and tmp, which are dead
+    between steps.  On top come numpy's ufunc buffers for the few strided
+    passes left: 6.22 fields measured.  One more full-grid array anywhere
+    would exceed 7; with three face arrays and a sampling scratch pair of
+    its own, the run peaked at 10.23.
     """
     state0, params, source, grid = bump_run_inputs(32, 3)
     cfg = SolverConfig(dt_initial=0.005, t_end=0.1, snapshot_stride=5)
@@ -140,4 +145,4 @@ def test_warm_run_peak_memory_in_field_arrays():
     finally:
         tracemalloc.stop()
     assert traj.steps == 20 and len(traj.diagnostics.times) == 5
-    assert peak <= 11 * state0.u.nbytes
+    assert peak <= 7 * state0.u.nbytes

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 from hypothesis.extra.numpy import arrays
 
-from kslab.diagnostics import face_gradients
+from kslab.diagnostics import face_gradient
 from kslab.params import Grid, Parameters, SourceFunction, State
 from kslab.solver import (
     OUTCOME_BLOWUP,
@@ -142,7 +143,9 @@ class TestStepExactness:
             u = np.roll(bump, (offset,) * g.dim, axis=axes)
             v = np.roll(0.5 * bump**2, (offset - 1,) * g.dim, axis=axes)
             du = np.zeros(cells)
-            _subtract_advection(du, u, face_gradients(v, g), 1.5, g, np.empty(cells))
+            for axis in range(g.dim):
+                w = face_gradient(v, g, axis)
+                _subtract_advection(du, u, w, axis, 1.5, g, np.empty(cells))
             return du
 
         base = divergence(0)
@@ -394,8 +397,8 @@ class TestRun:
         assert traj.diagnostics.column("Linf_u")[-1] > 1.5
 
     def test_finished_run_drops_sample_scratch(self):
-        # the trajectory pins no scratch fields once run returns, and its
-        # series still samples afterwards
+        # a finished trajectory's series keeps its columns and no field
+        # arrays, and still takes a standalone sample afterwards
         p = unit_params()
         g = Grid(dim=3, extents=(1, 1, 1), cells=(32, 32, 32))
         st = initial_condition(
@@ -404,12 +407,14 @@ class TestRun:
         cfg = SolverConfig(dt_initial=0.01, t_end=0.02, snapshot_stride=1)
         traj = run(st, p, logistic(p), g, cfg)
         series = traj.diagnostics
-        assert traj.outcome == OUTCOME_COMPLETED and series._scratch == ()
+        assert traj.outcome == OUTCOME_COMPLETED
+        assert list(vars(series)) == ["columns"]
+        assert all(isinstance(col, array) for col in series.columns.values())
         rows = len(series.times)
         series.sample(traj.states[-1], g, p, traj.clamp_total)
         assert len(series.times) == rows + 1
         assert series.column("mass_u")[-1] == series.column("mass_u")[-2]
-        assert series._scratch[0].shape == (1, 32, 32, 32)
+        assert list(vars(series)) == ["columns"]
 
     def test_one_dimensional_strong_chemotaxis_stays_bounded(self):
         # mu above the 3-D general-branch analog keeps the run tame

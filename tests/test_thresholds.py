@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kslab import thresholds
-from kslab.params import Parameters
+from kslab.params import Parameters, validate
 from kslab.thresholds import (
     BRANCH_CONVEX,
     BRANCH_GENERAL,
@@ -458,6 +458,34 @@ class TestCoefficients45D:
         doubled = feasibility_floor_45d(make_params(n=4, alpha=2.0))
         assert doubled == pytest.approx(2.0 * base, rel=1e-3)
         assert feasibility_floor_45d(make_params(n=4, chi=0.0)) == 0.0
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_selection_validates_once_per_call_not_per_candidate(self, monkeypatch, n):
+        # the candidates are checked on the params select_coefficients_45d
+        # has already validated; verify_system_45d re-validated each one
+        validated, checked = [], []
+        system = thresholds._system_45d
+
+        def counted_validate(params):
+            validated.append(params)
+            return validate(params)
+
+        def counted_check(*args):
+            checked.append(args)
+            return system(*args)
+
+        p = make_params(n=n)
+        m0, _ = mu0_general(p, convex=False)
+        counts = []
+        for factor in (2.5, 20.0):
+            monkeypatch.setattr(thresholds, "validate", counted_validate)
+            monkeypatch.setattr(thresholds, "_system_45d", counted_check)
+            select_coefficients_45d(p, factor * m0)
+            monkeypatch.undo()
+            counts.append((len(validated), len(checked)))
+            validated.clear(), checked.clear()
+        (few_v, few_c), (many_v, many_c) = counts
+        assert few_c < many_c and few_v == many_v <= 2
 
     def test_selection_rejects_threshold_and_zero_chi(self):
         p = make_params(n=4)
