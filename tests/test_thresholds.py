@@ -483,7 +483,8 @@ class TestCoefficients45D:
             select_coefficients_45d(p, factor * m0)
             monkeypatch.undo()
             counts.append((len(validated), len(checked)))
-            validated.clear(), checked.clear()
+            validated.clear()
+            checked.clear()
         (few_v, few_c), (many_v, many_c) = counts
         assert few_c < many_c and few_v == many_v <= 2
 
