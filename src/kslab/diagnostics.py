@@ -163,11 +163,17 @@ def _entropy(u, v, params: Sequence[Parameters], grid: Grid, scratch=None) -> Li
     v_eq = np.reshape([p.alpha * p.kappa / (p.beta * p.mu) for p in params], column)
     delta = [p.kappa * p.chi**2 / (8.0 * p.d1 * p.d2 * p.mu) for p in params]
     a, b = scratch or (np.empty_like(u), np.empty_like(u))
-    np.multiply(np.log(np.divide(u, c, out=a), out=a), c, out=a)
+    with np.errstate(over="ignore"):  # u/c past the largest double: redone below
+        np.divide(u, c, out=a)
+    np.multiply(np.log(a, out=a), c, out=a)
     np.subtract(np.subtract(u, c, out=b), a, out=b)  # u - c - c ln(u/c)
     np.subtract(v, v_eq, out=a)
     vol = grid.cell_volume
     sums, squares = _sums(b).tolist(), _dots(a, a).tolist()
+    for i, s in enumerate(sums):
+        if s == -math.inf:  # an overflowed u/c; ln u - ln c forms no quotient
+            ci = c.flat[i]
+            sums[i] = float(np.sum(u[i] - ci - ci * (np.log(u[i]) - math.log(ci))))
     return [(s + d * q) * vol for s, d, q in zip(sums, delta, squares)]
 
 
@@ -207,35 +213,25 @@ class DiagnosticsSeries:
     def times(self) -> array:
         return self.columns["t"]
 
+    @staticmethod
     def sample(
-        self,
+        series: Sequence["DiagnosticsSeries"],
         state: State,
         grid: Grid,
-        params: Parameters,
-        clamp_total: int,
-        coeffs3: Optional[CoefficientSet3D] = None,
-        coeffs45: Optional[CoefficientSet45D] = None,
+        params: Sequence[Parameters],
+        clamp_total: Sequence[int],
+        coeffs3: Optional[Sequence[Optional[CoefficientSet3D]]] = None,
+        coeffs45: Optional[Sequence[Optional[CoefficientSet45D]]] = None,
         scratch: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
-        """Append one row.  |grad v|^2 and the sums of powers are formed once
-        (_moments) in two scratch fields; sup norms come from extremes.
-
-        On stacked fields (a leading point axis and an array t, as run_batch
-        samples) self, params, clamp_total, coeffs3 and coeffs45 are
-        sequences with one entry per point, and one batched pass appends one
-        row to each series.  scratch is two contiguous stacks shaped like the
-        stacked fields to work in (run_batch passes its step workspace's,
-        idle between steps); without it the call allocates two.
+        """Append one row to each series from the matching point of a
+        stacked state (fields (P, *grid.cells), an array t); params,
+        clamp_total, coeffs3 and coeffs45 hold one entry per point (None:
+        no set).  scratch is two contiguous stacks shaped like the fields
+        to work in; without it the call allocates two.
         """
-        stacked = state.u.ndim > grid.dim
-        if stacked:
-            series, points, clamps = self, params, clamp_total
-            sets3, sets45 = coeffs3 or [None] * len(self), coeffs45 or [None] * len(self)
-            u, v = state.u, state.v
-        else:
-            series, points, clamps = [self], [params], [clamp_total]
-            sets3, sets45 = [coeffs3], [coeffs45]
-            u, v = state.u[None], state.v[None]
+        u, v = state.u, state.v
+        sets3, sets45 = coeffs3 or [None] * len(series), coeffs45 or [None] * len(series)
         scratch = scratch or (np.empty(u.shape), np.empty(u.shape))
         moments = _moments(u, v, grid, scratch, sets3, sets45)
         u_lo, u_hi, v_lo, v_hi = (
@@ -244,17 +240,17 @@ class DiagnosticsSeries:
         )
         # H only where it is defined; other points' fields stay out of the logs
         entropic = [
-            i for i, p in enumerate(points) if p.kappa > 0.0 and u_lo[i] > VACUUM_FLOOR
+            i for i, p in enumerate(params) if p.kappa > 0.0 and u_lo[i] > VACUUM_FLOOR
         ]
         h = {}
         if entropic:
-            rows = slice(None) if len(entropic) == len(points) else entropic
+            rows = slice(None) if len(entropic) == len(params) else entropic
             scratch = tuple(a[: len(entropic)] for a in scratch)
-            values = _entropy(u[rows], v[rows], [points[i] for i in entropic], grid, scratch)
+            values = _entropy(u[rows], v[rows], [params[i] for i in entropic], grid, scratch)
             h = dict(zip(entropic, values))
-        times = np.ravel(state.t).tolist()
+        times = state.t.tolist()
         vol = grid.cell_volume
-        for i, (target, p, m) in enumerate(zip(series, points, moments)):
+        for i, (target, p, m) in enumerate(zip(series, params, moments)):
             row = {
                 "t": times[i], "mass_u": m["u"] * vol,
                 "L2_u": (m["uu"] * vol) ** 0.5, "L3_u": (m["|u|^3"] * vol) ** (1 / 3),
@@ -262,7 +258,7 @@ class DiagnosticsSeries:
                 "L4_gradv": (m["gg"] * vol) ** 0.25, "L6_gradv": (m["ggg"] * vol) ** (1 / 6),
                 "z3": m["z3"] * vol if sets3[i] else math.nan,
                 "z45": m["z45"] * vol if sets45[i] else math.nan,
-                "H": h.get(i, math.nan), "clamp_count": int(clamps[i]),
+                "H": h.get(i, math.nan), "clamp_count": int(clamp_total[i]),
                 "Linf_v": max(v_hi[i], -v_lo[i]),
                 "dev_linf_u": math.nan, "dev_linf_v": math.nan,
             }

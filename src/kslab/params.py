@@ -120,10 +120,6 @@ class SourceFunction:
         f = np.add(np.multiply(s, -self.mu, out=out), self.kappa, out=out)
         return np.multiply(f, s, out=out)
 
-    def lipschitz_bound(self, u: np.ndarray) -> float:
-        """Local Lipschitz estimate max |kappa - 2 mu s| over u (for dt control)."""
-        return float(self.lipschitz_between(u.min(), u.max()))
-
     def lipschitz_between(self, lo: float, hi: float) -> float:
         """max |kappa - 2 mu s| over s in [lo, hi]: monotone in s, also
         rounded, so it peaks at lo or hi."""

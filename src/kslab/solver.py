@@ -6,25 +6,25 @@ the cached dense inverse of its constant-coefficient line matrix (2n flops
 per cell per axis for lines of n cells); the chemotactic flux is explicit
 first-order upwind in conservative form, and reactions are explicit.
 
-The kernels step P points at once: their fields stack along a leading point
-axis, shape (P, *grid.cells), and every Parameters or source field that
-differs by point is a (P, 1, ..., 1) column (_column).  Each point keeps its
-own dt, t and line inverses, and each of its values comes from the same
-floating-point operations as in a run of that point alone, so a batch
-reproduces solo runs bit for bit.  run_batch marches a batch in lockstep and
-run is its one-point call; step and compute_dt also take a single field pair.
-A step streams the grid axes (advection does not depend on dt): each axis's
-face gradient of v, in one workspace stack, gives its extremes to the dt
-budget and its upwind flux to f(u).  A workspace also holds a scratch stack
-and output (u, v) pairs: run_batch keeps one with two pairs that alternate
-and samples in its two scratch stacks, so a warm run holds six full-grid
-stacks and allocates none; step alone stays pure.
+The kernels take stacks only: the fields of P points stack along a leading
+point axis, shape (P, *grid.cells), and one point is a stack of one.  Every
+Parameters or source field that differs by point is a (P, 1, ..., 1) column
+(_column).  Each point keeps its own dt, t and line inverses, and each of
+its values comes from the same floating-point operations as in a run of that
+point alone, so a batch reproduces solo runs bit for bit.  run_batch marches
+a batch in lockstep and run is its one-point call.  A step streams the grid
+axes (advection does not depend on dt): each axis's face gradient of v, in
+one workspace stack, gives its extremes to the dt budget and its upwind flux
+to f(u).  A workspace also holds a scratch stack and output (u, v) pairs:
+run_batch keeps one with two pairs that alternate and samples in its two
+scratch stacks, so a warm run holds six full-grid stacks and allocates none;
+step alone stays pure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -48,7 +48,6 @@ __all__ = [
     "refinement_study",
     "manufactured_problem",
     "write_snapshot",
-    "read_snapshot",
     "OUTCOME_COMPLETED",
     "OUTCOME_BLOWUP",
     "OUTCOME_DT_COLLAPSE",
@@ -120,9 +119,7 @@ def initial_condition(
         low = float(np.min(u))
         if low < 0.0:
             u = u - low
-        v = np.full(grid.cells, base_v)
-        return State(u=u, v=v, t=0.0).check(grid)
-    if kind == "gaussian-bump":
+    elif kind == "gaussian-bump":
         if amplitude < 0.0:
             raise ValueError("bump amplitude must be nonnegative")
         mesh = grid.meshgrid()
@@ -130,20 +127,22 @@ def initial_condition(
         for axis, coord in enumerate(mesh):
             r2 = r2 + (coord - 0.5 * grid.extents[axis]) ** 2
         u = base_u + amplitude * np.exp(-r2 / (2.0 * width * width))
-        v = np.full(grid.cells, base_v)
-        return State(u=u, v=v, t=0.0).check(grid)
-    raise ValueError(f"unknown initial-condition kind {kind!r}")
+    else:
+        raise ValueError(f"unknown initial-condition kind {kind!r}")
+    return State(u=u, v=np.full(grid.cells, base_v), t=0.0).check(grid)
 
 
 def compute_dt(
     state: State,
-    params: Parameters,
-    source: SourceFunction,
+    params: Sequence[Parameters],
+    source: Sequence[SourceFunction],
     cfg: SolverConfig,
     grid: Grid,
-    face_extremes: Optional[List[List[Tuple[float, float]]]] = None,
-) -> float:
-    """CFL-limited step before the end-of-run cap.
+    face_extremes: Sequence[Sequence[Tuple[float, float]]],
+) -> np.ndarray:
+    """CFL-limited step of each stacked point, one entry of params and
+    source per point, before the end-of-run cap; an array of one dt per
+    point.
 
     Advection: dt <= cfl * h / (dim |chi| max|dv|) per axis, so the upwind
     outflow through a cell's 2 dim faces removes at most 2 cfl of its
@@ -152,24 +151,12 @@ def compute_dt(
     update is therefore clamp-free for cfl <= 1/3; above that, a signal
     with steep gradients on both sides of a cell can drive the cell
     negative, and step clamps and counts it.  Implicit diffusion adds no
-    restriction.  max|dv| and L come from the extremes of the face gradients
-    and of u: no |.| copies, and exact, so dt is bit-identical.  step passes
-    the face gradients' extremes per axis (_extremes), gathered while it
-    streams the axes; without them they are taken here, one axis at a time
-    in one face array.  On stacked fields params and source are sequences,
-    one entry per point, and dt is an array of one step per point.
+    restriction.  face_extremes holds, per axis, the (min, max) of each
+    point's face gradients of v (_extremes); max|dv| and L come from those
+    and from the extremes of u, exactly, so dt is bit-identical.
     """
-    if state.u.ndim == grid.dim:
-        params, source = [params], [source]
-    count = len(params)
-    if face_extremes is None:
-        face = np.empty(state.v.shape)
-        face_extremes = [
-            _extremes(face_gradient(state.v, grid, axis, face), count)
-            for axis in range(grid.dim)
-        ]
     gmax = [[max(hi, -lo) for lo, hi in axis] for axis in face_extremes]
-    dts, extremes = [], _extremes(state.u, count)
+    dts, extremes = [], _extremes(state.u, len(params))
     for point, (prm, src, (lo, hi)) in enumerate(zip(params, source, extremes)):
         dt = cfg.dt_initial
         abs_chi = abs(prm.chi)
@@ -182,7 +169,7 @@ def compute_dt(
         if lipschitz > 0.0:
             dt = min(dt, cfg.cfl_safety / lipschitz)
         dts.append(dt)
-    return np.array(dts) if state.u.ndim > grid.dim else dts[0]
+    return np.array(dts)
 
 
 def _extremes(a: np.ndarray, count: int) -> List[Tuple[float, float]]:
@@ -286,13 +273,14 @@ def _implicit_diffusion(f: np.ndarray, coef, dt, grid: Grid, tmp) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StepInfo:
-    """One step's outcome; for stacked fields each field is a per-point
-    array and peaks a pair of them."""
+    """One step's outcome, one array entry per point: the dt taken (0 on a
+    collapse), the cells clamped, whether dt collapsed, and peaks, the max
+    of u and of v after the clamp."""
 
-    dt: float
-    clamped: int
-    dt_collapse: bool = False
-    peaks: Tuple[float, float] = (0.0, 0.0)  # max u, max v after the clamp
+    dt: np.ndarray
+    clamped: np.ndarray
+    dt_collapse: np.ndarray
+    peaks: Tuple[np.ndarray, np.ndarray]
 
 
 def _column(values: Sequence[float], dim: int):
@@ -330,8 +318,8 @@ ForcingFn = Callable[[Tuple[np.ndarray, ...], float], np.ndarray]
 
 def step(
     state: State,
-    params: Parameters,
-    source: SourceFunction,
+    params: Sequence[Parameters],
+    source: Sequence[SourceFunction],
     cfg: SolverConfig,
     grid: Grid,
     forcing_u: Optional[ForcingFn] = None,
@@ -340,33 +328,15 @@ def step(
     *,
     work: Optional[_Workspace] = None,
 ) -> Tuple[State, StepInfo]:
-    """Advance one adaptive step; the homogeneous equilibrium is an exact
-    fixed point of the update.
+    """Advance every point of a stacked state (fields (P, *grid.cells), an
+    array t) one adaptive step, with one entry of params and source per
+    point; the homogeneous equilibrium is an exact fixed point of the update.
 
-    state holds one field pair, or stacked fields with an array t: then
-    params and source are sequences with one entry per point, every point
-    steps, a point whose dt collapses reports dt 0 and keeps its input
-    fields in state, and StepInfo holds per-point arrays.  run_batch passes
-    its workspace, made for the same points, as work, and the result lives
-    in the pair not holding state.u until the step after next.
+    A point whose dt collapses reports dt 0 and keeps its input fields in
+    state.  run_batch passes its workspace, made for the same points, as
+    work, and the result lives in the pair not holding state.u until the
+    step after next; without work the result is in fresh arrays.
     """
-    if state.u.ndim > grid.dim:
-        return _step_points(
-            state, params, source, cfg, grid, forcing_u, forcing_v, mesh, work
-        )
-    points = State(u=state.u[None], v=state.v[None], t=np.array([state.t]))
-    new, info = _step_points(
-        points, [params], [source], cfg, grid, forcing_u, forcing_v, mesh, None
-    )
-    if info.dt_collapse[0]:
-        return state, StepInfo(dt=0.0, clamped=0, dt_collapse=True)
-    peaks = (float(info.peaks[0][0]), float(info.peaks[1][0]))
-    info = StepInfo(dt=float(info.dt[0]), clamped=int(info.clamped[0]), peaks=peaks)
-    return State(u=new.u[0], v=new.v[0], t=float(new.t[0])), info
-
-
-def _step_points(state, params, source, cfg, grid, forcing_u, forcing_v, mesh, work):
-    """step on stacked fields."""
     u, v = state.u, state.v
     work = work or _Workspace(params, source, grid, pairs=1)
     new_u, new_v = next(pair for pair in work.pairs if pair[0] is not u)
@@ -673,12 +643,7 @@ def refinement_study(
         state = State(u=exact_u(mesh, 0.0), v=exact_u(mesh, 0.0), t=0.0)
         h = min(grid.spacing)
         cfg = SolverConfig(
-            dt_initial=0.2 * h * h,
-            dt_min=1e-14,
-            t_end=t_end,
-            cfl_safety=0.5,
-            blowup_linf_threshold=1e8,
-            snapshot_stride=10**9,
+            dt_initial=0.2 * h * h, dt_min=1e-14, t_end=t_end, snapshot_stride=10**9
         )
         traj = run(
             state, params, source, grid, cfg,
@@ -686,11 +651,8 @@ def refinement_study(
         )
         if traj.outcome != OUTCOME_COMPLETED:
             raise RuntimeError(f"manufactured run ended with {traj.outcome}")
-        final = traj.states[-1]
-        diff = final.u - exact_u(mesh, t_end)
-        errors.append(
-            float(np.sqrt(np.sum(diff * diff) * grid.cell_volume))
-        )
+        diff = traj.states[-1].u - exact_u(mesh, t_end)
+        errors.append(float(np.sqrt(np.sum(diff * diff) * grid.cell_volume)))
     orders = tuple(
         math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)
     )
@@ -707,42 +669,19 @@ def refinement_study(
 # ---------------------------------------------------------------------------
 
 
-def write_snapshot(
-    directory, state: State, grid: Grid, index: int
-) -> List[Path]:
+def write_snapshot(directory, state: State, grid: Grid, index: int) -> List[Path]:
     """One .raw file per field per sample (axis-major float64, little
     endian) with a .hdr text sidecar."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    cells, extents = " ".join(map(str, grid.cells)), " ".join(map(repr, grid.extents))
     paths = []
     for name, fld in (("u", state.u), ("v", state.v)):
-        stem = directory / f"{name}_{index:06d}"
-        raw = stem.with_suffix(".raw")
+        raw, hdr = (directory / f"{name}_{index:06d}{suffix}" for suffix in (".raw", ".hdr"))
         np.ascontiguousarray(fld, dtype="<f8").tofile(raw)
-        header = "\n".join(
-            [
-                f"field: {name}",
-                f"dim: {grid.dim}",
-                "cells: " + " ".join(str(c) for c in grid.cells),
-                "extents: " + " ".join(repr(e) for e in grid.extents),
-                f"time: {state.t!r}",
-            ]
+        hdr.write_text(
+            f"field: {name}\ndim: {grid.dim}\ncells: {cells}\nextents: {extents}\n"
+            f"time: {state.t!r}\n"
         )
-        stem.with_suffix(".hdr").write_text(header + "\n")
-        paths.extend([raw, stem.with_suffix(".hdr")])
+        paths += [raw, hdr]
     return paths
-
-
-def read_snapshot(stem) -> Tuple[np.ndarray, dict]:
-    stem = Path(stem)
-    meta = {}
-    for line in stem.with_suffix(".hdr").read_text().splitlines():
-        key, _, value = line.partition(":")
-        meta[key.strip()] = value.strip()
-    cells = tuple(int(c) for c in meta["cells"].split())
-    data = np.fromfile(stem.with_suffix(".raw"), dtype="<f8").reshape(cells)
-    meta["cells"] = cells
-    meta["extents"] = tuple(float(e) for e in meta["extents"].split())
-    meta["time"] = float(meta["time"])
-    meta["dim"] = int(meta["dim"])
-    return data, meta

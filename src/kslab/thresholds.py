@@ -65,6 +65,15 @@ def _nonconvex_base(n: int, d1: float, d2: float) -> float:
     return n / (math.sqrt(2.0 * n + 4.0) - 2.0) * (1.0 / d1 + 2.0 / d2)
 
 
+def _interior(eps, eta, d1: float, d2: float):
+    """(inside, e, g) over the broadcast shape of eps and eta: the mask of
+    the open rectangle (0, d1) x (0, d2), and eps and eta with the
+    rectangle's centre at points outside it."""
+    eps, eta = np.broadcast_arrays(np.asarray(eps, float), np.asarray(eta, float))
+    inside = (eps > 0.0) & (eps < d1) & (eta > 0.0) & (eta < d2)
+    return inside, np.where(inside, eps, 0.5 * d1), np.where(inside, eta, 0.5 * d2)
+
+
 def h_objective(n, d1, d2, eps, eta):
     """Objective of the 4/5-D threshold minimization over (eps, eta).
 
@@ -72,12 +81,7 @@ def h_objective(n, d1, d2, eps, eta):
     edge, so the minimizer is strictly interior.  Returns an array of the
     broadcast shape of eps and eta (0-d for scalars).
     """
-    eps = np.asarray(eps, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    eps, eta = np.broadcast_arrays(eps, eta)
-    inside = (eps > 0.0) & (eps < d1) & (eta > 0.0) & (eta < d2)
-    e = np.where(inside, eps, 0.5 * d1)
-    g = np.where(inside, eta, 0.5 * d2)
+    inside, e, g = _interior(eps, eta, d1, d2)
     t1 = np.sqrt(n / (18.0 * d2 * e))
     t2 = np.sqrt((1.0 / (2.0 * e)) * (1.0 / g + n / (2.0 * d2)))
     bracket = math.sqrt(2.0) + (d1 + d2) / (2.0 * np.sqrt((d1 - e) * (d2 - g)))
@@ -97,31 +101,20 @@ def _grid_compass_min(
 ) -> Tuple[float, float, float]:
     """Minimize f(eps, eta) over (0, d1) x (0, d2); returns (value, eps, eta).
 
-    Coarse 64x64 logarithmic grid (f must accept arrays), then compass
-    pattern search from the best cell: 40 rounds with steps (d1, d2)/8
-    halved each round.  An iteration polls (x +- sx, y) and (x, y +- sy)
-    around its starting point in that order, moving to each poll that
-    beats the best value so far; a round repeats while an iteration moves,
-    at most 200 times.  The objectives searched here are smooth and
-    empirically unimodal.
-
-    The polls are batched: one call of f evaluates the 4 polls around the
-    current point at the current step and at every later one.  The
-    acceptance rule is replayed over these values, round after round,
-    until an iteration moves; then the point is new and f is called again
-    around it (at the same step, or at the next once 200 iterations are
-    spent).  So f is called twice plus once per moving iteration.  The
-    result is bit-identical to polling one point per call: an iteration's
-    polls depend only on its starting point, the steps (d1/8) 2**-j are
-    exactly the halved ones, x + (-s) and x + 0 round like x - s and x,
-    and f's array operations round like its scalar ones.
+    The best cell of a 64x64 logarithmic grid (f must accept arrays) seeds a
+    compass search: 40 rounds with steps (d1, d2)/8 halved each round.  An
+    iteration polls (x +- sx, y) and (x, y +- sy) around its starting point
+    in that order, moving to each poll that beats the best value so far; a
+    round repeats while an iteration moves, at most 200 times.  One call of
+    f evaluates the polls at the current step and at every later one; the
+    result is bit-identical to polling one point per call as long as f's
+    array operations round like its scalar ones.
 
     With stop, the search returns as soon as its best value is at most
-    stop: after the grid, or after an iteration that moved.  A move needs
-    fc < fx, so the best value never rises and the full search's result
-    would be at most stop too; a caller that reads only whether the minimum
-    is <= stop gets the full search's answer.  A NaN best value never
-    satisfies <=, so such a search runs to the end.
+    stop, after the grid or after an iteration that moved.  The best value
+    never rises, so whether the minimum is <= stop is the full search's
+    answer.  A NaN best value never satisfies <=, so such a search runs to
+    the end.
     """
     ee, gg = np.meshgrid(d1 * _GRID_FACTORS, d2 * _GRID_FACTORS, indexing="ij")
     vals = f(ee, gg)
@@ -412,13 +405,19 @@ def coefficient_recipe_3d(params: Parameters, mu: float) -> CoefficientSet3D:
     )
 
 
-def select_coefficients_3d(params: Parameters, mu: float) -> CoefficientSet3D:
-    """Select a coefficient set that verifies the 3-D system for mu > mu0."""
+def _require_above_mu0(params: Parameters, mu: float) -> float:
+    """mu0 on the general branch; raises unless mu exceeds it."""
     threshold, _ = mu0_general(params, convex=False)
     if mu <= threshold:
         raise ValueError(
             f"coefficient selection requires mu > mu0 = {threshold}, got {mu}"
         )
+    return threshold
+
+
+def select_coefficients_3d(params: Parameters, mu: float) -> CoefficientSet3D:
+    """Select a coefficient set that verifies the 3-D system for mu > mu0."""
+    _require_above_mu0(params, mu)
     coeffs = coefficient_recipe_3d(params, mu)
     check = verify_system_3d(params, mu, coeffs)
     if not check.passed:
@@ -596,12 +595,7 @@ def _relaxed_overlap_45d(params, mu, eps, eta):
     """
     n, d1, d2 = params.n, params.d1, params.d2
     alpha, chi2 = params.alpha, params.chi * params.chi
-    eps = np.asarray(eps, float)
-    eta = np.asarray(eta, float)
-    eps, eta = np.broadcast_arrays(eps, eta)
-    inside = (eps > 0.0) & (eps < d1) & (eta > 0.0) & (eta < d2)
-    e = np.where(inside, eps, 0.5 * d1)
-    g = np.where(inside, eta, 0.5 * d2)
+    inside, e, g = _interior(eps, eta, d1, d2)
     dsum2 = (d1 + d2) ** 2
     with np.errstate(invalid="ignore", divide="ignore"):
         xt2 = (2.0 / g + n / (2.0 * d2)) / (d2 - g)
@@ -647,24 +641,17 @@ def _relaxation_feasible(params, mu) -> bool:
 
 
 def feasibility_floor_45d(params: Parameters) -> float:
-    """Certified lower bound on the damping the 4/5-D system can verify.
+    """The damping up to which a search finds the 4/5-D relaxation
+    infeasible: a search result, not a proven lower bound.
 
-    The seven-inequality system plus the delta-ratio constraint implies,
-    for every verifying mu, a nonempty overlap of two quadratic windows in
-    the delta3 variable (see _relaxed_overlap_45d).  Bisection on mu over
-    the maximized overlap returns the largest mu at which the relaxation is
-    infeasible for every (eps, eta).  This floor generally sits well above
-    mu0: the additive threshold chain drops the coupling between the
-    delta-ratio window and the cross-absorption budget, so feasibility of
-    the verbatim system starts only around 1.7 mu0 and beyond.
-
-    The bisection reads only the sign of the maximized overlap, so each of
-    its 42 decisions (two bracket ends, 40 midpoints) stops the search at
-    the first point with overlap >= 0 (_relaxation_feasible).  That point
-    is usually a grid cell, and an infeasible mu has overlap -inf
-    everywhere, so a decision takes one or two objective calls.  The
-    decisions, and so the floor, are those of full searches bit for bit;
-    the 40 steps stay, as fewer would move the floor.
+    Every verifying mu gives a nonempty overlap of two quadratic windows in
+    delta3 (_relaxed_overlap_45d).  40 geometric bisection steps over
+    [mu0, 64 mu0], each on the sign of the overlap maximized by
+    _grid_compass_min (stopped at the first point with overlap >= 0, so the
+    decisions are those of full searches bit for bit), return the largest mu
+    found infeasible.  The search samples (eps, eta) and can miss a feasible
+    region smaller than its grid cells, so a finer one may find overlap >= 0
+    below the floor.
     """
     validate(params)
     if params.n not in (4, 5):
@@ -689,20 +676,14 @@ def feasibility_floor_45d(params: Parameters) -> float:
 def select_coefficients_45d(params: Parameters, mu: float) -> CoefficientSet45D:
     """Select a verifying coefficient set for the 4/5-D system at mu > mu0.
 
-    Follows the constructive recipe where it is sound: eps1 minimizes
-    chi^2/(2 eps1) + (2 alpha^2/eta + n alpha^2/(2 d2)) eps1/(d2 - eta),
-    eps2 is tied to the mixed-gradient-u bound, and the deltas sit just
-    above their binding lower bounds.  The recipe's fixed anchors are not:
-    (eps, eta) pinned to the h-minimizer and eps3 = 1 leave the system
-    infeasible for damping rates where other knob choices verify, and
-    eps3 = 1 is not even scale-invariant.  So (eps, eta) is seeded from
-    both the h-minimizer and the relaxation's best point (when its overlap
-    is nonnegative), eps3 runs over 17 geometric steps of chi^2/mu times
-    1e-3 .. 1e3, and _candidates_45d tries 4 delta3 quantiles of its window
-    for each; the set with the best worst normalized margin wins.  There
-    is no further polish.  Raises when no verifying set exists in the
-    search region; the certified floor from feasibility_floor_45d explains
-    genuine refusals.
+    eps1 minimizes chi^2/(2 eps1) + (2 alpha^2/eta + n alpha^2/(2 d2))
+    eps1/(d2 - eta), eps2 is tied to the mixed-gradient-u bound and the
+    deltas sit just above their binding lower bounds.  (eps, eta) is seeded
+    from the h-minimizer and, when its overlap is nonnegative, from the
+    relaxation's best point; eps3 runs over 17 geometric steps of chi^2/mu
+    times 1e-3 .. 1e3, and _candidates_45d tries 4 delta3 quantiles of its
+    window for each.  The set with the best worst normalized margin wins.
+    Raises RuntimeError when no candidate verifies.
     """
     validate(params)
     if params.n not in (4, 5):
@@ -711,11 +692,7 @@ def select_coefficients_45d(params: Parameters, mu: float) -> CoefficientSet45D:
         raise ValueError(
             "coefficient selection is undefined at chi = 0 (eps1 degenerates)"
         )
-    threshold, _ = mu0_general(params, convex=False)
-    if mu <= threshold:
-        raise ValueError(
-            f"coefficient selection requires mu > mu0 = {threshold}, got {mu}"
-        )
+    threshold = _require_above_mu0(params, mu)
     chi2 = params.chi * params.chi
 
     hmin = minimize_h(params.n, params.d1, params.d2)
@@ -733,8 +710,8 @@ def select_coefficients_45d(params: Parameters, mu: float) -> CoefficientSet45D:
     if best is None:
         raise RuntimeError(
             f"no verifying coefficient set found at mu = {mu} (mu0 = "
-            f"{threshold}); the system is infeasible below the certified "
-            f"floor of feasibility_floor_45d"
+            f"{threshold}); the relaxation's search finds the system infeasible "
+            f"below feasibility_floor_45d's floor, which is not a proven bound"
         )
     return best
 

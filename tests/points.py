@@ -1,0 +1,20 @@
+"""One-point stacks: solver.step, solver.compute_dt and
+DiagnosticsSeries.sample take stacked fields only, so a test's single point
+is a stack of one."""
+
+import numpy as np
+
+from kslab.diagnostics import face_gradient
+from kslab.params import Grid, State
+from kslab.solver import _extremes
+
+
+def one_point(state: State) -> State:
+    """state as a stack of one point: fields (1, *cells) and t an array."""
+    return State(u=state.u[None], v=state.v[None], t=np.array([state.t]))
+
+
+def face_extremes(state: State, grid: Grid):
+    """compute_dt's face_extremes of a stacked state, as step gathers them."""
+    return [_extremes(face_gradient(state.v, grid, axis), len(state.v))
+            for axis in range(grid.dim)]

@@ -113,9 +113,12 @@ def test_schema_keys_are_dataclass_fields():
         (SourceFunction, "custom"),
         (SourceFunction, "check_certificate"),
         (kslab.params, "CERT_SAMPLE_GRID"),
+        (kslab.solver, "read_snapshot"),
+        (SourceFunction, "lipschitz_bound"),
     ],
     ids=["kslab.SweepSpec", "harness.SweepSpec", "SourceFunction.custom",
-         "SourceFunction.check_certificate", "params.CERT_SAMPLE_GRID"],
+         "SourceFunction.check_certificate", "params.CERT_SAMPLE_GRID",
+         "solver.read_snapshot", "SourceFunction.lipschitz_bound"],
 )
 def test_removed_name_is_gone(owner, name):
     assert not hasattr(owner, name)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from kslab.diagnostics import (
     lyapunov_H,
     mass_bound_check,
 )
-from kslab.params import Grid, Parameters, SourceFunction, State
+from kslab.params import Grid, Parameters, SourceFunction, State, validate
 from kslab.thresholds import (
     CoefficientSet3D,
     CoefficientSet45D,
@@ -146,6 +147,18 @@ class TestLyapunov:
         c = p.kappa / p.mu
         far = State(u=np.full(g.cells, c), v=np.full(g.cells, 5.0), t=0.0)
         assert lyapunov_H(far, p, g) == pytest.approx(0.0, abs=1e-15)
+
+    def test_tiny_equilibrium_stays_finite(self):
+        # u/c passes the largest double at u = 10 for c = kappa/mu = 3e-308,
+        # which validate accepts: H is about the mass of u, and no quotient
+        # overflows on the way
+        p = Parameters(d1=1, d2=1, chi=1, alpha=1, beta=1, kappa=3e-308, mu=1, n=1)
+        g = Grid(dim=1, extents=(1.0,), cells=(4,))
+        state = State(u=np.array([10.0, 1.0, 1.0, 1.0]), v=np.zeros(4), t=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            h = lyapunov_H(state, validate(p), g)
+        assert h == pytest.approx(13.0 * g.cell_volume, rel=1e-12)
 
     def test_vacuum_rejected(self):
         p = unit_params()

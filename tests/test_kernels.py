@@ -15,6 +15,7 @@ from kslab.solver import SolverConfig, initial_condition, run, step
 from kslab.thresholds import CoefficientSet3D, CoefficientSet45D
 
 from oracles import sample_reference, step_reference
+from points import one_point
 
 UNIT3 = CoefficientSet3D(
     eps1=0.5, eps2=0.3, eps3=0.2, eps4=0.4, delta1=1.0, delta2=1.0, delta3=1.0
@@ -61,16 +62,17 @@ def test_step_agrees_with_reference(problem):
     cfg = SolverConfig(dt_initial=1.0, t_end=10.0, cfl_safety=cfl)
     source = SourceFunction.standard_logistic(params.kappa, params.mu)
     state = State(u=u, v=v, t=0.0)
-    new, info = step(state, params, source, cfg, grid)
+    stacked, info = step(one_point(state), [params], [source], cfg, grid)
+    new = State(u=stacked.u[0], v=stacked.v[0], t=float(stacked.t[0]))
     ref_u, ref_v, ref_dt, clamp_u, clamp_v = step_reference(
         state, params, source, cfg, grid
     )
-    assert info.dt == ref_dt
-    assert info.clamped == int(np.count_nonzero(clamp_u) + np.count_nonzero(clamp_v))
+    assert info.dt[0] == ref_dt
+    assert info.clamped[0] == int(np.count_nonzero(clamp_u) + np.count_nonzero(clamp_v))
     assert np.all(new.u[clamp_u] == 0.0) and np.all(new.v[clamp_v] == 0.0)
     assert_close_fields(new.u, ref_u)
     assert_close_fields(new.v, ref_v)
-    assert info.peaks == (float(np.max(new.u)), float(np.max(new.v)))
+    assert (info.peaks[0][0], info.peaks[1][0]) == (np.max(new.u), np.max(new.v))
 
 
 @given(problem=problems())
@@ -79,7 +81,9 @@ def test_sample_agrees_with_reference(problem):
     grid, params, u, v, _ = problem
     state = State(u=u, v=v, t=0.25)
     series = DiagnosticsSeries()
-    series.sample(state, grid, params, 3, UNIT3, UNIT45)
+    DiagnosticsSeries.sample(
+        [series], one_point(state), grid, [params], [3], [UNIT3], [UNIT45]
+    )
     want = sample_reference(state, grid, params, UNIT3, UNIT45)
     for name, value in want.items():
         got = series.columns[name][0]
@@ -114,8 +118,8 @@ def test_run_leaves_initial_state_unchanged():
 def test_successive_steps_share_no_memory():
     state, params, source, grid = bump_run_inputs(16, 2)
     cfg = SolverConfig(dt_initial=0.01, t_end=1.0)
-    first, _ = step(state, params, source, cfg, grid)
-    second, _ = step(first, params, source, cfg, grid)
+    first, _ = step(one_point(state), [params], [source], cfg, grid)
+    second, _ = step(first, [params], [source], cfg, grid)
     arrays_ = [state.u, state.v, first.u, first.v, second.u, second.v]
     for i, a in enumerate(arrays_):
         for b in arrays_[i + 1:]:

@@ -90,7 +90,7 @@ class TestSource:
     def test_zero_source(self):
         f = SourceFunction.zero()
         assert f(5.0) == 0.0
-        assert f.lipschitz_bound(np.ones(3)) == 0.0
+        assert f.lipschitz_between(1.0, 1.0) == 0.0
 
 
 class TestGrid:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 from hypothesis.extra.numpy import arrays
 
-from kslab.diagnostics import face_gradient
+from kslab.diagnostics import DiagnosticsSeries, face_gradient
 from kslab.params import Grid, Parameters, SourceFunction, State
 from kslab.solver import (
     OUTCOME_BLOWUP,
@@ -22,12 +22,13 @@ from kslab.solver import (
     compute_dt,
     initial_condition,
     manufactured_problem,
-    read_snapshot,
     refinement_study,
     run,
     step,
     write_snapshot,
 )
+
+from points import face_extremes, one_point
 
 
 def unit_params(**kw):
@@ -91,11 +92,11 @@ class TestStepExactness:
         g = Grid(dim=3, extents=(1, 1, 1), cells=(8, 8, 8))
         ue = p.kappa / p.mu
         ve = p.alpha * p.kappa / (p.beta * p.mu)
-        st = State(u=np.full(g.cells, ue), v=np.full(g.cells, ve), t=0.0)
+        st = one_point(State(u=np.full(g.cells, ue), v=np.full(g.cells, ve), t=0.0))
         cfg = SolverConfig(dt_initial=0.05, t_end=1.0)
         for _ in range(5):
-            st, info = step(st, p, logistic(p), cfg, g)
-            assert not info.dt_collapse
+            st, info = step(st, [p], [logistic(p)], cfg, g)
+            assert not info.dt_collapse[0]
             assert np.max(np.abs(st.u - ue)) <= 1e-12 * ue
             assert np.max(np.abs(st.v - ve)) <= 1e-12 * ve
 
@@ -103,15 +104,15 @@ class TestStepExactness:
         p = unit_params(chi=0.0, d1=0.7, d2=1.3, n=2)
         g = Grid(dim=2, extents=(1, 1), cells=(32, 32))
         rng = np.random.default_rng(5)
-        st = State(
+        st = one_point(State(
             u=rng.uniform(0.5, 2.0, g.cells), v=rng.uniform(0.1, 1.0, g.cells), t=0.0
-        )
+        ))
         cfg = SolverConfig(dt_initial=0.05, t_end=10.0)
         src = SourceFunction.zero()
         mass = np.sum(st.u) * g.cell_volume
         for _ in range(20):
             before = np.sum(st.u) * g.cell_volume
-            st, _ = step(st, p, src, cfg, g)
+            st, _ = step(st, [p], [src], cfg, g)
             after = np.sum(st.u) * g.cell_volume
             assert abs(after - before) <= 1e-12 * before
         assert abs(np.sum(st.u) * g.cell_volume - mass) <= 1e-11 * mass
@@ -239,8 +240,10 @@ class TestStepProperties:
         # diffusion solve preserves sign.
         grid, params, u, v = problem
         cfg = SolverConfig(cfl_safety=cfl, **CFL_LIMITED)
-        new, info = step(State(u=u, v=v, t=0.0), params, logistic(params), cfg, grid)
-        assert info.clamped == 0
+        new, info = step(
+            one_point(State(u=u, v=v, t=0.0)), [params], [logistic(params)], cfg, grid
+        )
+        assert info.clamped[0] == 0
         assert np.min(new.u) >= 0.0 and np.min(new.v) >= 0.0
 
     @given(
@@ -253,9 +256,9 @@ class TestStepProperties:
         params = dataclasses.replace(params, chi=chi)
         cfg = SolverConfig(**CFL_LIMITED)
         new, info = step(
-            State(u=u, v=v, t=0.0), params, SourceFunction.zero(), cfg, grid
+            one_point(State(u=u, v=v, t=0.0)), [params], [SourceFunction.zero()], cfg, grid
         )
-        assert info.clamped == 0
+        assert info.clamped[0] == 0
         mass = float(np.sum(u))
         assert abs(float(np.sum(new.u)) - mass) <= 1e-12 * mass + 1e-300
 
@@ -265,10 +268,12 @@ class TestStepProperties:
         grid, params, _, _ = problem
         ue = max(params.kappa, 0.0) / params.mu
         ve = params.alpha * ue / params.beta
-        state = State(u=np.full(grid.cells, ue), v=np.full(grid.cells, ve), t=0.0)
+        state = one_point(
+            State(u=np.full(grid.cells, ue), v=np.full(grid.cells, ve), t=0.0)
+        )
         cfg = SolverConfig(**CFL_LIMITED)
-        new, info = step(state, params, logistic(params), cfg, grid)
-        assert info.clamped == 0
+        new, info = step(state, [params], [logistic(params)], cfg, grid)
+        assert info.clamped[0] == 0
         assert np.max(np.abs(new.u - ue)) <= 1e-12 * ue
         assert np.max(np.abs(new.v - ve)) <= 1e-12 * ve
 
@@ -279,11 +284,11 @@ class TestStepProperties:
         axis %= grid.dim
         cfg = SolverConfig(**CFL_LIMITED)
         src = logistic(params)
-        a, info_a = step(State(u=u, v=v, t=0.0), params, src, cfg, grid)
-        mirrored = State(u=np.flip(u, axis), v=np.flip(v, axis), t=0.0)
-        b, info_b = step(mirrored, params, src, cfg, grid)
-        assert info_b.dt == info_a.dt
-        for got, want in ((b.u, a.u), (b.v, a.v)):
+        a, info_a = step(one_point(State(u=u, v=v, t=0.0)), [params], [src], cfg, grid)
+        mirrored = one_point(State(u=np.flip(u, axis), v=np.flip(v, axis), t=0.0))
+        b, info_b = step(mirrored, [params], [src], cfg, grid)
+        assert info_b.dt[0] == info_a.dt[0]
+        for got, want in ((b.u[0], a.u[0]), (b.v[0], a.v[0])):
             np.testing.assert_allclose(
                 got, np.flip(want, axis), rtol=1e-12,
                 atol=1e-12 * (1.0 + float(np.max(want))),
@@ -294,10 +299,13 @@ class TestAdaptivity:
     def test_dt_monotone_in_chi(self):
         g = Grid(dim=1, extents=(1.0,), cells=(32,))
         x = g.axis_centers(0)
-        st = State(u=1.0 + 0.5 * np.cos(np.pi * x), v=np.cos(np.pi * x) + 1.0, t=0.0)
+        st = one_point(
+            State(u=1.0 + 0.5 * np.cos(np.pi * x), v=np.cos(np.pi * x) + 1.0, t=0.0)
+        )
         cfg = SolverConfig(dt_initial=1.0, t_end=1.0)
         dts = [
-            compute_dt(st, unit_params(chi=chi, n=1), logistic(unit_params()), cfg, g)
+            compute_dt(st, [unit_params(chi=chi, n=1)], [logistic(unit_params())], cfg, g,
+                       face_extremes(st, g))[0]
             for chi in (0.5, 1.0, 2.0, 4.0, 8.0)
         ]
         assert all(a >= b for a, b in zip(dts, dts[1:]))
@@ -305,10 +313,10 @@ class TestAdaptivity:
     def test_subnormal_chi_limits_nothing(self):
         # dim |chi| max|dv| underflows to 0: no advection limit, no crash
         g = Grid(dim=1, extents=(1.0,), cells=(4,))
-        st = State(u=np.zeros(4), v=np.array([0.125, 0.0, 0.0, 0.0]), t=0.0)
+        st = one_point(State(u=np.zeros(4), v=np.array([0.125, 0.0, 0.0, 0.0]), t=0.0))
         p = unit_params(chi=5e-324, kappa=0.0, mu=1.0, n=1)
         cfg = SolverConfig(dt_initial=1.0, t_end=10.0)
-        assert compute_dt(st, p, logistic(p), cfg, g) == 0.5
+        assert compute_dt(st, [p], [logistic(p)], cfg, g, face_extremes(st, g))[0] == 0.5
 
     def test_dt_collapse_outcome(self):
         # enormous reaction stiffness forces dt below dt_min
@@ -411,7 +419,9 @@ class TestRun:
         assert list(vars(series)) == ["columns"]
         assert all(isinstance(col, array) for col in series.columns.values())
         rows = len(series.times)
-        series.sample(traj.states[-1], g, p, traj.clamp_total)
+        DiagnosticsSeries.sample(
+            [series], one_point(traj.states[-1]), g, [p], [traj.clamp_total]
+        )
         assert len(series.times) == rows + 1
         assert series.column("mass_u")[-1] == series.column("mass_u")[-2]
         assert list(vars(series)) == ["columns"]
@@ -476,13 +486,11 @@ class TestSnapshots:
         assert sorted(p.name for p in paths) == [
             "u_000003.hdr", "u_000003.raw", "v_000003.hdr", "v_000003.raw",
         ]
-        data, meta = read_snapshot(tmp_path / "u_000003")
-        assert np.array_equal(data, st.u)
-        assert meta["dim"] == 2
-        assert meta["cells"] == (8, 4)
-        assert meta["extents"] == (2.0, 1.0)
-        assert meta["time"] == 0.75
-        assert meta["field"] == "u"
+        raw = np.fromfile(tmp_path / "u_000003.raw", dtype="<f8").reshape(g.cells)
+        assert np.array_equal(raw, st.u)
+        assert (tmp_path / "u_000003.hdr").read_text() == (
+            "field: u\ndim: 2\ncells: 8 4\nextents: 2.0 1.0\ntime: 0.75\n"
+        )
 
     def test_raw_is_little_endian_axis_major(self, tmp_path):
         g = Grid(dim=2, extents=(1.0, 1.0), cells=(4, 8))
