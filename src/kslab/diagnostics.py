@@ -224,11 +224,14 @@ class DiagnosticsSeries:
         coeffs45: Optional[Sequence[Optional[CoefficientSet45D]]] = None,
         scratch: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
-        """Append one row to each series from the matching point of a
-        stacked state (fields (P, *grid.cells), an array t); params,
-        clamp_total, coeffs3 and coeffs45 hold one entry per point (None:
-        no set).  scratch is two contiguous stacks shaped like the fields
-        to work in; without it the call allocates two.
+        """Append a row to series[i] from row i of a stacked state (fields
+        (P, *grid.cells), an array t) for every row i; params, clamp_total,
+        coeffs3 and coeffs45 hold one entry per row (None: no set).  A
+        series may sit at several rows, and then takes their rows in row
+        order.  Every reduction is per row, so a row's values do not depend
+        on the other rows of the call.  scratch is two contiguous stacks
+        shaped like the fields to work in; without it the call allocates
+        two.
         """
         u, v = state.u, state.v
         sets3, sets45 = coeffs3 or [None] * len(series), coeffs45 or [None] * len(series)

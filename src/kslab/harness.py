@@ -548,24 +548,17 @@ def _report_thresholds(lines, report: th.ThresholdReport) -> None:
 _SUMMARY_COLUMNS = ("value", "outcome", "sup_linf_u", "late_linf_u", "fit_model",
                     "fit_rate", "mu_gt_mu0", "error")
 
-# Sweep points march together while their stacked fields and line inverses
-# (cells plus n^2 per axis, per point) fit in this many doubles, 512 KiB: a
-# 32^2 point takes 3,072, so up to 21 share a batch, while a 64^3 point or a
-# 1,024-cell line runs alone, with the memory of a solo run.
-_BATCH_ELEMENTS = 1 << 16
-
-
 def _sweep_chunk(args) -> List[Dict[str, object]]:
     """Summary rows of a contiguous chunk of sweep points, given as (index,
     value) pairs.  Each point is set up on its own (validation, threshold
     report, source; the initial state depends on no parameter and is made
     once); a point whose set-up raises keeps its error row and stays out of
-    the batch.  The rest march in batches within _BATCH_ELEMENTS
+    the batch.  The rest march in batches within sv._BATCH_ELEMENTS
     (sv.run_batch); an error in a batch's run lands in the rows of all its
     points, one in a point's output in that point's row."""
     base, axis, points, out = args
     grid = base.grid
-    size = max(1, _BATCH_ELEMENTS // (math.prod(grid.cells) + sum(n * n for n in grid.cells)))
+    size = max(1, sv._BATCH_ELEMENTS // (math.prod(grid.cells) + sum(n * n for n in grid.cells)))
     rows, state0 = [], None
     for first in range(0, len(points), size):
         ready = []
@@ -645,7 +638,7 @@ def run_sweep(
     point's diagnostics.csv to point_<index>.
 
     The points march in lockstep batches (sv.run_batch) under a fixed
-    budget of stacked elements, _BATCH_ELEMENTS, with outputs identical to
+    budget of stacked elements, sv._BATCH_ELEMENTS, with outputs identical to
     solo runs.  With KSLAB_WORKERS set (default: serial), up to that many
     processes each take a contiguous chunk of the points.  Per-point
     failures, in set-up, run or output, land in the row's error column.

@@ -16,9 +16,11 @@ a batch in lockstep and run is its one-point call.  A step streams the grid
 axes (advection does not depend on dt): each axis's face gradient of v, in
 one workspace stack, gives its extremes to the dt budget and its upwind flux
 to f(u).  A workspace also holds a scratch stack and output (u, v) pairs:
-run_batch keeps one with two pairs that alternate and samples in its two
-scratch stacks, so a warm run holds six full-grid stacks and allocates none;
-step alone stays pure.
+run_batch keeps one with two pairs that alternate, so a warm run holds six
+full-grid stacks and allocates none; step alone stays pure.  Where four
+stacks of two slices of all its points fit in _BATCH_ELEMENTS doubles,
+run_batch buffers its diagnostics samples and takes them in one call per
+buffer; otherwise it samples at once in the workspace's two scratch stacks.
 """
 
 from __future__ import annotations
@@ -60,6 +62,13 @@ OUTCOME_DT_COLLAPSE = "dt-collapse"
 OUTCOME_NONFINITE = "non-finite"
 
 CLAMP_TOLERANCE = 1e-12
+
+# Budget of stacked doubles, 512 KiB: harness batches sweep points while
+# their fields and line inverses (cells plus n^2 per axis, per point) fit,
+# so a 32^2 point takes 3,072 and up to 21 share a batch, while a 64^3 point
+# or a 1,024-cell line runs alone, with the memory of a solo run; run_batch
+# buffers diagnostics samples in four stacks of this many doubles in all.
+_BATCH_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -448,9 +457,18 @@ def run_batch(
     enters the others' arithmetic.  A trajectory keeps the initial and final
     states only, so memory does not grow with the run length, and no step
     writes into states0's arrays; a non-finite final state is kept but not
-    sampled.  The sources must share one kind.  Samples work in the step
-    workspace's scratch stacks, and the line inverses cached for the run are
-    dropped when it ends.
+    sampled.  The sources must share one kind.
+
+    Samples are deferred on small grids: when four stacks of room rows,
+    room = _BATCH_ELEMENTS // (4 cells), hold two slices of all the points,
+    each sampled slice is copied into a buffer of room rows, with its t,
+    points and clamp totals as at sample time, and one
+    DiagnosticsSeries.sample call over the buffer's rows, in its two scratch
+    stacks, takes them when the next slice would not fit and before the run
+    returns.  Otherwise each slice is sampled at once in the step
+    workspace's scratch stacks.  Every reduction of a sample is per row, so
+    the series are the same either way.  The buffer and the line inverses
+    cached for the run are dropped when it ends.
     """
     states0 = [state.check(grid) for state in states0]
     count = len(states0)
@@ -470,20 +488,48 @@ def run_batch(
         params, sources, grid,
     )
 
+    room = _BATCH_ELEMENTS // (4 * math.prod(grid.cells))
+    room = room if room >= 2 * count else 0
+    buffer = np.empty((4, room) + grid.cells)  # u, v and the two scratch stacks
+    held: List[Tuple[int, float, int]] = []  # point, t, clamp total per buffered row
+
+    def take(state: State, points, totals: List[int], scratch) -> None:
+        """Append a diagnostics row to the series of each point from the
+        matching row of state."""
+        DiagnosticsSeries.sample(
+            [series[i] for i in points], state, grid, [params[i] for i in points],
+            totals, [coeffs3[i] for i in points], [coeffs45[i] for i in points],
+            scratch=scratch,
+        )
+
+    def flush() -> None:
+        """Take the buffered rows in one call and empty the buffer."""
+        if held:
+            points, t, totals = zip(*held)
+            rows = len(held)
+            state = State(u=buffer[0, :rows], v=buffer[1, :rows], t=np.array(t))
+            take(state, points, list(totals), (buffer[2, :rows], buffer[3, :rows]))
+            held.clear()
+
     def sample(state: State, rows: Optional[List[int]] = None) -> None:
-        """Append a diagnostics row to the series of the given batch rows (all if None)."""
+        """Sample the given batch rows (all if None): into the buffer, or at
+        once in the step workspace without one."""
         points = batch.points
         if rows is not None and len(rows) < len(points):
             if not rows:
                 return
             state = State(u=state.u[rows], v=state.v[rows], t=state.t[rows])
             points = points[rows]
-        DiagnosticsSeries.sample(
-            [series[i] for i in points], state, grid, [params[i] for i in points],
-            clamps[points].tolist(), [coeffs3[i] for i in points],
-            [coeffs45[i] for i in points],
-            scratch=(batch.work.face[:len(points)], batch.work.tmp[:len(points)]),
-        )
+        totals = clamps[points].tolist()
+        if not room:
+            work = batch.work
+            take(state, points, totals, (work.face[:len(points)], work.tmp[:len(points)]))
+            return
+        if len(held) + len(points) > room:
+            flush()
+        slots = slice(len(held), len(held) + len(points))
+        buffer[0, slots], buffer[1, slots] = state.u, state.v
+        held.extend(zip(points.tolist(), state.t.tolist(), totals))
 
     def retire(ends, state: State) -> State:
         """Close the trajectories of the batch rows in ends, row -> (outcome,
@@ -559,6 +605,7 @@ def run_batch(
         elif rows:
             sample(new, rows)
         state = retire(ends, new)
+    flush()
     _line_inverses.cache_clear()
     return trajectories
 

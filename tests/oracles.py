@@ -5,14 +5,17 @@ is a dense uniform grid scan with local refinement, nothing smarter, and
 the compass oracle polls one point per objective call.  The floor oracle
 runs the library's full search at every bisection step.  The step and
 sample oracles are the solver and diagnostics formulas as first written,
-one fresh array per intermediate.
+one fresh array per intermediate.  The run oracle samples each state of a
+solo run as soon as it exists.
 """
 
 import math
 
 import numpy as np
 
-from kslab.solver import CLAMP_TOLERANCE, _line_inverse
+from kslab.diagnostics import DiagnosticsSeries
+from kslab.params import State
+from kslab.solver import CLAMP_TOLERANCE, _line_inverse, step
 from kslab.thresholds import _max_relaxed_overlap_45d, h_objective, mu0_general
 
 
@@ -203,3 +206,39 @@ def sample_reference(state, grid, params, c3, c45):
         row["dev_linf_u"] = float(np.max(np.abs(u - c)))
         row["dev_linf_v"] = float(np.max(np.abs(v - v_eq)))
     return row
+
+
+def sampled_run_reference(state0, params, source, grid, cfg, c3=None, c45=None):
+    """The diagnostics of a solo run, each row taken the moment its state
+    exists by a one-point DiagnosticsSeries.sample call: the initial state,
+    every snapshot_stride-th step still short of t_end, a blown-up state,
+    and the state reaching t_end (at t = t_end); nothing after a dt collapse
+    or a non-finite field.  Returns (series, outcome, steps)."""
+    series = DiagnosticsSeries()
+    end = cfg.t_end - 1e-9 * max(1.0, cfg.t_end)
+    state = State(u=state0.u[None], v=state0.v[None], t=np.array([state0.t]))
+    clamps, steps = 0, 0
+
+    def sample(at):
+        DiagnosticsSeries.sample([series], at, grid, [params], [clamps], [c3], [c45])
+
+    sample(state)
+    if np.max(state.u) > cfg.blowup_linf_threshold:
+        return series, "blowup-detected", 0
+    while True:
+        if not state.t[0] < end:
+            sample(State(u=state.u, v=state.v, t=np.array([cfg.t_end])))
+            return series, "completed", steps
+        new, info = step(state, [params], [source], cfg, grid)
+        steps += 1
+        clamps += int(info.clamped[0])
+        if info.dt_collapse[0]:
+            return series, "dt-collapse", steps - 1
+        if not (np.all(np.isfinite(new.u)) and np.all(np.isfinite(new.v))):
+            return series, "non-finite", steps
+        if np.max(new.u) > cfg.blowup_linf_threshold:
+            sample(new)
+            return series, "blowup-detected", steps
+        if steps % cfg.snapshot_stride == 0 and new.t[0] < end:
+            sample(new)
+        state = new

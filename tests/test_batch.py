@@ -1,5 +1,6 @@
 """run_batch against solo runs: every point of a lockstep batch gets exactly
-the trajectory of its own run, whatever the other points do, and the
+the trajectory of its own run, whatever the other points do, its deferred
+diagnostics equal samples taken the moment each state exists, and the
 batch's stacked line inverses are built once per theta."""
 
 import collections
@@ -13,10 +14,11 @@ from hypothesis import strategies as hs
 from hypothesis.extra.numpy import arrays
 
 import kslab.solver as sv
-from kslab.diagnostics import CSV_COLUMNS
+from kslab.diagnostics import CSV_COLUMNS, DiagnosticsSeries
 from kslab.params import Grid, Parameters, SourceFunction, State
 from kslab.solver import (
     OUTCOME_BLOWUP,
+    OUTCOME_COMPLETED,
     OUTCOME_DT_COLLAPSE,
     OUTCOME_NONFINITE,
     SolverConfig,
@@ -25,6 +27,8 @@ from kslab.solver import (
     run_batch,
 )
 from kslab.thresholds import CoefficientSet3D, CoefficientSet45D
+
+from oracles import sampled_run_reference
 
 UNIT3 = CoefficientSet3D(
     eps1=0.5, eps2=0.3, eps3=0.2, eps4=0.4, delta1=1.0, delta2=1.0, delta3=1.0
@@ -97,6 +101,67 @@ def assert_same_run(got, want):
         assert np.array_equal(
             got.diagnostics.column(name), want.diagnostics.column(name), equal_nan=True
         ), name
+
+
+# Points that stop part-way through a buffer of deferred samples, at cfl 1:
+# on t_end after about 60 steps, with clamps on the first (a checkerboard
+# signal); by blow-up after 20; by dt collapse at once; and on t_end after
+# about 100 (a reaction Lipschitz bound near 4e3).  On each grid the buffer's
+# four stacks of room rows fit _BATCH_ELEMENTS with room 16, 20 and 4: two
+# slices of all the points or more.
+DEFERRED = [
+    ((32, 32), ["plain", "blowup", "collapse", "stiff"]),
+    ((20, 40), ["stiff", "plain", "blowup"]),
+    ((16, 16, 16), ["blowup", "plain"]),
+]
+DEFERRED_ROLES = {**ROLES, "stiff": {"kappa": 2000.0, "mu": 4000.0}}
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("cells, roles", DEFERRED)
+def test_deferred_samples_equal_immediate_ones(cells, roles, stride, monkeypatch):
+    """Every column of every series of a run_batch whose samples are
+    buffered and taken several slices per call is bit for bit the one that
+    one-point samples give, taken as soon as each state exists."""
+    calls = []
+    take = DiagnosticsSeries.sample
+
+    def counted(series, *args, **kwargs):
+        calls.append(len(series))
+        take(series, *args, **kwargs)
+
+    monkeypatch.setattr(DiagnosticsSeries, "sample", staticmethod(counted))
+    dim = len(cells)
+    grid = Grid(dim=dim, extents=(1.0,) * dim, cells=cells)
+    base = Parameters(d1=1.0, d2=0.5, chi=2.0, alpha=1.0, beta=1.0, kappa=1.0, mu=2.0, n=dim)
+    bump = initial_condition("gaussian-bump", grid, base_u=0.5, base_v=0.25, amplitude=0.2)
+    checkerboard = 5.0 * (np.indices(cells).sum(axis=0) % 2)  # clamps on the first step
+    params, states = [], []
+    for role in roles:
+        params.append(dataclasses.replace(base, **DEFERRED_ROLES[role]))
+        if role in ("plain", "stiff"):
+            v = checkerboard if role == "plain" else bump.v
+            states.append(State(u=bump.u, v=v, t=0.0))
+        else:
+            states.append(State(u=np.full(cells, ROLE_U0[role]), v=np.ones(cells), t=0.0))
+    sources = [SourceFunction.standard_logistic(p.kappa, p.mu) for p in params]
+    sets = [(UNIT3, UNIT45) if k % 2 else (None, None) for k in range(len(roles))]
+    cfg = SolverConfig(dt_initial=1e-3, dt_min=1e-5, t_end=0.05, cfl_safety=1.0,
+                       blowup_linf_threshold=BLOWUP, snapshot_stride=stride)
+    batch = run_batch(states, params, sources, grid, cfg,
+                      [c3 for c3, _ in sets], [c45 for _, c45 in sets])
+    assert max(calls) > len(roles)  # the samples were deferred
+    steps = set()
+    for role, state, p, source, (c3, c45), got in zip(
+        roles, states, params, sources, sets, batch
+    ):
+        want, outcome, taken = sampled_run_reference(state, p, source, grid, cfg, c3, c45)
+        assert (got.outcome, got.steps) == (outcome, taken)
+        assert got.outcome == EXPECTED.get(role, OUTCOME_COMPLETED)
+        for name, column in want.columns.items():
+            assert got.diagnostics.columns[name].tobytes() == column.tobytes(), name
+        steps.add(taken)
+    assert len(steps) == len(roles)  # every point stops at its own step
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing points

@@ -191,6 +191,34 @@ class TestLyapunov:
         assert all(v > 0 for s, v in zip(samples, values) if s != c)
 
 
+class TestSample:
+    def test_repeated_series_take_their_rows_in_row_order(self):
+        # one call over rows of two series, interleaved: each series gets its
+        # rows in row order, each bit for bit as sampled alone
+        grid = unit_grid(8, 2)
+        rng = np.random.default_rng(3)
+        u, v = rng.uniform(0.1, 2.0, (5, 8, 8)), rng.uniform(0.0, 1.0, (5, 8, 8))
+        t = np.array([0.0, 0.0, 0.1, 0.1, 0.2])
+        a, b = DiagnosticsSeries(), DiagnosticsSeries()
+        params = [unit_params(kappa=float(k % 2 == 0)) for k in range(5)]
+        sets3, sets45 = [coeffs3()] * 5, [None, coeffs45()] * 2 + [None]
+        DiagnosticsSeries.sample(
+            [a, b, a, b, a], State(u=u, v=v, t=t), grid, params, list(range(5)),
+            sets3, sets45,
+        )
+        assert list(a.times) == [0.0, 0.1, 0.2] and list(b.times) == [0.0, 0.1]
+        assert list(a.columns["clamp_count"]) == [0, 2, 4]
+        for series, rows in ((a, [0, 2, 4]), (b, [1, 3])):
+            alone = DiagnosticsSeries()
+            for i in rows:
+                DiagnosticsSeries.sample(
+                    [alone], State(u=u[i:i + 1], v=v[i:i + 1], t=t[i:i + 1]), grid,
+                    [params[i]], [i], [sets3[i]], [sets45[i]],
+                )
+            for name, column in alone.columns.items():
+                assert series.columns[name].tobytes() == column.tobytes(), name
+
+
 class TestMassBound:
     def _series(self, masses):
         s = DiagnosticsSeries()

@@ -1,6 +1,7 @@
 """The fused step and sample kernels against the formulas as first written
 (tests/oracles.py), and the memory they share or keep."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,9 +10,10 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as hs
 from hypothesis.extra.numpy import arrays
 
+import kslab.solver as sv
 from kslab.diagnostics import DiagnosticsSeries
 from kslab.params import Grid, Parameters, SourceFunction, State, validate
-from kslab.solver import SolverConfig, initial_condition, run, step
+from kslab.solver import SolverConfig, initial_condition, run, run_batch, step
 from kslab.thresholds import CoefficientSet3D, CoefficientSet45D
 
 from oracles import sample_reference, step_reference
@@ -150,3 +152,35 @@ def test_warm_run_peak_memory_in_field_arrays():
         tracemalloc.stop()
     assert traj.steps == 20 and len(traj.diagnostics.times) == 5
     assert peak <= 7 * state0.u.nbytes
+
+
+def test_deferred_samples_peak_memory_within_buffer(monkeypatch):
+    """A warm 20-step run_batch of 4 points on 32^2 with a sample every step
+    buffers its samples in four stacks of room = 16 rows, _BATCH_ELEMENTS
+    doubles in all.  Its traced peak exceeds that of the same run sampled at
+    once (no budget, so no buffer) by at most that buffer and one ufunc
+    buffer of np.getbufsize() doubles, which a flush's broadcast passes over
+    16 rows fill and a sample's over 4 rows only half fill: 564 KB measured
+    against 589.8 KB.  Copying the buffered rows, or fresh scratch stacks,
+    per flush would each add 256 KiB."""
+    state0, params, source, grid = bump_run_inputs(32, 2)
+    params = [dataclasses.replace(params, d1=d1) for d1 in (0.25, 0.5, 1.0, 2.0)]
+    cfg = SolverConfig(dt_initial=1e-3, t_end=0.02, snapshot_stride=1)
+
+    def peak():
+        run_batch([state0] * 4, params, [source] * 4, grid, cfg)
+        tracemalloc.start()
+        try:
+            trajectories = run_batch([state0] * 4, params, [source] * 4, grid, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [len(t.diagnostics.times) for t in trajectories] == [21] * 4
+        return peak
+
+    buffer = 4 * 16 * state0.u.nbytes  # u, v and two scratch stacks of 16 rows
+    assert buffer <= sv._BATCH_ELEMENTS * 8
+    deferred = peak()
+    monkeypatch.setattr(sv, "_BATCH_ELEMENTS", 0)
+    at_once = peak()
+    assert deferred - at_once <= buffer + np.getbufsize() * 8
