@@ -37,10 +37,6 @@ from .diagnostics import (
     DiagnosticsSeries,
     convergence_audit,
     fit_decay,
-    functional_z3,
-    functional_z45,
-    lp_norm,
-    lyapunov_H,
     mass_bound_check,
 )
 from .harness import (

@@ -18,12 +18,8 @@ from .params import Grid, Parameters, SourceFunction, State
 from .thresholds import CoefficientSet3D, CoefficientSet45D, ThresholdReport
 
 __all__ = [
-    "lp_norm",
     "face_gradient",
     "grad_magnitude_squared",
-    "functional_z3",
-    "functional_z45",
-    "lyapunov_H",
     "DiagnosticsSeries",
     "CSV_COLUMNS",
     "MassBoundResult",
@@ -34,20 +30,6 @@ __all__ = [
     "AuditResult",
     "convergence_audit",
 ]
-
-SUPPORTED_P = (1, 2, 3, 4, 6, math.inf)
-
-
-def lp_norm(fld: np.ndarray, p, grid: Grid) -> float:
-    """Midpoint-rule L^p norm, sum |f|^p as <|f|^a, |f|^b>; max for p = inf."""
-    if p not in SUPPORTED_P:
-        raise ValueError(f"unsupported norm order p = {p}")
-    a = np.abs(np.asarray(fld, dtype=float))
-    if p == math.inf:
-        return float(np.max(a))
-    x = a if p < 4 else a * a
-    total = np.sum(a) if p == 1 else np.vdot(x, x if p in (2, 4) else x * x)
-    return float((total * grid.cell_volume) ** (1.0 / p))
 
 
 def face_gradient(v: np.ndarray, grid: Grid, axis: int, out=None) -> np.ndarray:
@@ -131,33 +113,13 @@ def _moments(u, v, grid: Grid, scratch=None, c3=(), c45=()) -> List[Dict[str, fl
     return points
 
 
-def functional_z3(state: State, grid: Grid, c: CoefficientSet3D) -> float:
-    """delta1 int u^2 + delta2 int u |grad v|^2 + delta3 int |grad v|^4."""
-    return _moments(state.u[None], state.v[None], grid, c3=[c])[0]["z3"] * grid.cell_volume
-
-
-def functional_z45(state: State, grid: Grid, c: CoefficientSet45D) -> float:
-    """Four-term coupled functional with cubic leading weight."""
-    return _moments(state.u[None], state.v[None], grid, c45=[c])[0]["z45"] * grid.cell_volume
-
-
-def lyapunov_H(state: State, params: Parameters, grid: Grid) -> float:
-    """Entropy-like distance to the positive equilibrium.
-
-    H = int (u - c - c ln(u/c)) + delta int (v - alpha kappa/(beta mu))^2
-    with c = kappa/mu and delta = kappa chi^2 / (8 d1 d2 mu); nonnegative,
-    zero exactly at the equilibrium.  Requires kappa > 0 and u > 0.
-    """
-    if params.kappa <= 0.0:
-        raise ValueError("H is defined only for kappa > 0")
-    if np.min(state.u) <= 0.0:
-        raise ValueError("H undefined at vacuum")
-    return _entropy(state.u[None], state.v[None], [params], grid)[0]
-
-
 def _entropy(u, v, params: Sequence[Parameters], grid: Grid, scratch=None) -> List[float]:
-    """lyapunov_H per point of the stacks u and v, with one Parameters per
-    point; scratch is two stacks to work in instead of fresh ones."""
+    """The paper's Lyapunov functional per point of the stacks u and v, one
+    Parameters per point: an entropy-like distance to the positive equilibrium,
+    H = int (u - c - c ln(u/c)) + delta int (v - alpha kappa/(beta mu))^2
+    with c = kappa/mu and delta = kappa chi^2 / (8 d1 d2 mu), nonnegative and
+    zero exactly there.  Defined only for kappa > 0 and u > 0 (sample writes
+    NaN elsewhere); scratch is two stacks to work in instead of fresh ones."""
     column = (len(u),) + (1,) * grid.dim
     c = np.reshape([p.kappa / p.mu for p in params], column)
     v_eq = np.reshape([p.alpha * p.kappa / (p.beta * p.mu) for p in params], column)
@@ -319,7 +281,7 @@ def mass_bound_check(
     The total mass may never exceed ||u0||_1 + (a + 1/(4 mu)) |Omega| for
     any certificate pair (a, mu) of the source.  A NaN mass is a violation.
     """
-    if source.kind == "zero":
+    if source.mu_cert == 0.0:
         raise ValueError("mass bound needs a damping certificate; f == 0 has none")
     bound = u0_mass + (source.a_cert + 1.0 / (4.0 * source.mu_cert)) * volume + tol
     margins = bound - series.column("mass_u")

@@ -278,7 +278,7 @@ def _check_scenario_constraints(cfg: ExperimentConfig) -> None:
             raise ConfigError(
                 "small-diffusion-sweep requires sweep_axis and sweep_values"
             )
-        _validate_sweep_axis(cfg.sweep_axis, cfg.sweep_values, params)
+        _validate_sweep_axis(cfg.sweep_axis, cfg.sweep_values, cfg)
     elif name == "manufactured-order":
         if not cfg.order_grids:
             raise ConfigError("manufactured-order requires grids (cell counts)")
@@ -286,14 +286,16 @@ def _check_scenario_constraints(cfg: ExperimentConfig) -> None:
             raise ConfigError("manufactured-order needs at least 3 grids")
 
 
-def _validate_sweep_axis(axis: str, values: Tuple[float, ...], params: Parameters):
+def _validate_sweep_axis(axis: str, values: Tuple[float, ...], cfg: ExperimentConfig):
     if axis not in {f.name for f in dataclasses.fields(Parameters)}:
         raise ConfigError(f"sweep axis {axis!r} is not a parameter field")
     if not values:
         raise ConfigError("sweep values list is empty")
     for value in values:
+        if axis == "n" and value != cfg.grid.dim:  # the points run on cfg's grid
+            raise ConfigError(f"sweep value {value}: n must equal grid dim {cfg.grid.dim}")
         try:
-            validate(dataclasses.replace(params, **{axis: value}))
+            validate(dataclasses.replace(cfg.params, **{axis: value}))
         except ValueError as exc:
             raise ConfigError(f"sweep value {value} inadmissible: {exc}")
 
@@ -350,13 +352,13 @@ def _coefficient_sets(cfg: ExperimentConfig, report: th.ThresholdReport):
     return (report.coeffs3 if cfg.grid.dim == 3 else None), report.coeffs45
 
 
-def _simulate(cfg: ExperimentConfig, report: th.ThresholdReport):
-    source, state0 = _source(cfg.params), _initial_state(cfg)
-    traj = sv.run(
-        state0, cfg.params, source, cfg.grid, cfg.solver,
-        *_coefficient_sets(cfg, report),
-    )
-    return traj, source, state0
+def _output_dir(cfg: ExperimentConfig) -> Path:
+    """cfg's output directory, made with its parents if missing."""
+    try:
+        Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"[scenario] output_dir {cfg.output_dir!r}: {exc}")
+    return Path(cfg.output_dir)
 
 
 def _zstability(series: diag.DiagnosticsSeries):
@@ -392,11 +394,10 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     """Execute thresholds, simulation, diagnostics, and the scenario audit.
 
     Exit code 0 on audit pass, 2 on blow-up, 3 on config error (raised by
-    parse_config before we get here), 4 on audit failure, dt collapse or a
-    non-finite u or v.
+    parse_config, or here for an output_dir that cannot be made), 4 on audit
+    failure, dt collapse or a non-finite u or v.
     """
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(cfg)
     lines: Dict[str, object] = {"scenario": cfg.scenario}
 
     if cfg.scenario == "small-diffusion-sweep":
@@ -414,7 +415,10 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
         lines["mu_exceeds_convex_mu0"] = cfg.params.mu > value_c
         lines["mu_exceeds_general_mu0"] = cfg.params.mu > value_g
 
-    traj, source, state0 = _simulate(cfg, report)
+    source, state0 = _source(cfg.params), _initial_state(cfg)
+    traj = sv.run(
+        state0, cfg.params, source, cfg.grid, cfg.solver, *_coefficient_sets(cfg, report)
+    )
     series = traj.diagnostics
     lines["outcome"] = traj.outcome
     lines["steps"] = traj.steps
@@ -643,12 +647,11 @@ def run_sweep(
     processes each take a contiguous chunk of the points.  Per-point
     failures, in set-up, run or output, land in the row's error column.
     """
-    _validate_sweep_axis(axis, values, base.params)
+    _validate_sweep_axis(axis, values, base)
     workers = _sweep_workers(
         os.environ.get("KSLAB_WORKERS"), len(values), os.cpu_count() or 1
     )
-    out = Path(base.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(base)
     points = list(enumerate(values))
     bounds = [len(points) * k // workers for k in range(workers + 1)]
     chunks = [(base, axis, points[a:b], out) for a, b in zip(bounds, bounds[1:])]

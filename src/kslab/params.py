@@ -69,19 +69,17 @@ def validate(params: Parameters) -> Parameters:
 
 @dataclass(frozen=True)
 class SourceFunction:
-    """Growth source f(u) together with its quadratic-damping certificate.
+    """Growth source f(s) = (kappa - mu s) s together with its
+    quadratic-damping certificate.
 
     The certificate (a_cert, mu_cert) asserts f(s) <= a_cert - mu_cert * s^2
     for all s >= 0; downstream bounds consume the certificate, not f itself.
-
     The lab is logistic-only: the config can express no other source, and
-    the logistic certificate is closed form.  kind is one of:
-      "standard-logistic"  f(s) = kappa*s - mu*s^2
-      "zero"               f == 0, no certificate (discretization validation
-                           only; f == 0 admits no quadratic-damping ceiling)
+    the logistic certificate is closed form.  zero() is f == 0 (kappa = mu
+    = 0) without a certificate (mu_cert = 0), for discretization validation
+    only: f == 0 admits no quadratic-damping ceiling.
     """
 
-    kind: str
     kappa: float = 0.0
     mu: float = 0.0
     a_cert: float = 0.0
@@ -101,30 +99,22 @@ class SourceFunction:
             a_cert, mu_cert = kappa * kappa / (2.0 * mu), mu / 2.0
         else:
             a_cert, mu_cert = 0.0, mu
-        return SourceFunction(
-            kind="standard-logistic",
-            kappa=kappa,
-            mu=mu,
-            a_cert=a_cert,
-            mu_cert=mu_cert,
-        )
+        return SourceFunction(kappa=kappa, mu=mu, a_cert=a_cert, mu_cert=mu_cert)
 
     @staticmethod
     def zero() -> "SourceFunction":
-        return SourceFunction(kind="zero")
+        return SourceFunction()
 
     def __call__(self, s, out=None):
-        """f(s), as (kappa - mu s) s; into out (not overlapping s) if given."""
-        if self.kind == "zero":
-            return np.multiply(s, 0.0, out=out)
+        """f(s), as (kappa - mu s) s; into out (not overlapping s) if given.
+        For zero(), +0.0 - 0.0 s is +0.0 (NaN at an inf or NaN s), so f(s) is
+        s * 0.0 bit for bit."""
         f = np.add(np.multiply(s, -self.mu, out=out), self.kappa, out=out)
         return np.multiply(f, s, out=out)
 
     def lipschitz_between(self, lo: float, hi: float) -> float:
         """max |kappa - 2 mu s| over s in [lo, hi]: monotone in s, also
         rounded, so it peaks at lo or hi."""
-        if self.kind == "zero":
-            return 0.0
         return max(abs(self.kappa - 2.0 * self.mu * x) for x in (lo, hi))
 
 
@@ -176,11 +166,12 @@ class Grid:
 
 @dataclass(frozen=True)
 class State:
-    """Cell density u, signal v, and the current time."""
+    """Cell density u, signal v, and the current time t: a float for one
+    point, an array of one t per point for a stack (fields (P, *cells))."""
 
     u: np.ndarray
     v: np.ndarray
-    t: float
+    t: float | np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))

@@ -308,8 +308,6 @@ class _Workspace:
 
     def __init__(self, params: Sequence[Parameters], sources: Sequence[SourceFunction],
                  grid: Grid, pairs: int):
-        if len({source.kind for source in sources}) > 1:
-            raise ValueError("the points of a batch need one kind of source")
         shape = (len(params),) + grid.cells
         self.face = np.empty(shape)
         self.tmp = np.empty(shape)
@@ -457,7 +455,7 @@ def run_batch(
     enters the others' arithmetic.  A trajectory keeps the initial and final
     states only, so memory does not grow with the run length, and no step
     writes into states0's arrays; a non-finite final state is kept but not
-    sampled.  The sources must share one kind.
+    sampled.
 
     Samples are deferred on small grids: when four stacks of room rows,
     room = _BATCH_ELEMENTS // (4 cells), hold two slices of all the points,

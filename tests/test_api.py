@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import kslab
+import kslab.diagnostics
 import kslab.harness
 import kslab.params
 from kslab.cli import cli
@@ -29,6 +30,8 @@ from kslab.solver import SolverConfig
 from test_harness import minimal_cfg
 
 MODULES = ("params", "thresholds", "solver", "diagnostics", "harness", "cli")
+# single-field forms of DiagnosticsSeries.sample's columns
+DIAGNOSTICS_REMOVED = ("lp_norm", "SUPPORTED_P", "functional_z3", "functional_z45", "lyapunov_H")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -115,10 +118,15 @@ def test_schema_keys_are_dataclass_fields():
         (kslab.params, "CERT_SAMPLE_GRID"),
         (kslab.solver, "read_snapshot"),
         (SourceFunction, "lipschitz_bound"),
+        (SourceFunction.zero(), "kind"),  # a field: on instances only
+        *((kslab.diagnostics, name) for name in DIAGNOSTICS_REMOVED),
+        *((kslab, name) for name in DIAGNOSTICS_REMOVED if name != "SUPPORTED_P"),
     ],
     ids=["kslab.SweepSpec", "harness.SweepSpec", "SourceFunction.custom",
          "SourceFunction.check_certificate", "params.CERT_SAMPLE_GRID",
-         "solver.read_snapshot", "SourceFunction.lipschitz_bound"],
+         "solver.read_snapshot", "SourceFunction.lipschitz_bound", "SourceFunction.kind",
+         *(f"diagnostics.{name}" for name in DIAGNOSTICS_REMOVED),
+         *(f"kslab.{name}" for name in DIAGNOSTICS_REMOVED if name != "SUPPORTED_P")],
 )
 def test_removed_name_is_gone(owner, name):
     assert not hasattr(owner, name)

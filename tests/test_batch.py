@@ -57,7 +57,9 @@ EXPECTED = {"blowup": OUTCOME_BLOWUP, "nonfinite": OUTCOME_NONFINITE,
 @hs.composite
 def batches(draw):
     """A 1-, 2- or 3-D grid, 1 to 4 points that differ in one drawn field,
-    each with a role and its own initial fields, and a shared solver config."""
+    each with a role, its own initial fields and its source (f == 0 or the
+    logistic term for a plain point, whose run needs neither), and a shared
+    solver config."""
     dim = draw(hs.integers(1, 3))
     cells = tuple(draw(hs.integers(4, 7)) for _ in range(dim))
     grid = Grid(dim=dim, extents=tuple(draw(hs.sampled_from([1.0, 0.7]))
@@ -76,7 +78,10 @@ def batches(draw):
         else:
             state = State(u=np.full(cells, ROLE_U0[role]), v=np.ones(cells), t=0.0)
         sets = draw(hs.sampled_from([(None, None), (UNIT3, UNIT45)]))
-        points.append((role, state, params, sets))
+        source = SourceFunction.standard_logistic(params.kappa, params.mu)
+        if role == "plain" and draw(hs.booleans()):
+            source = SourceFunction.zero()
+        points.append((role, state, params, sets, source))
     cfg = SolverConfig(
         dt_initial=1e-3, dt_min=1e-5, t_end=0.05, blowup_linf_threshold=BLOWUP,
         cfl_safety=draw(hs.floats(0.1, 1.0)), snapshot_stride=draw(hs.integers(1, 4)),
@@ -169,8 +174,7 @@ def test_deferred_samples_equal_immediate_ones(cells, roles, stride, monkeypatch
 @settings(max_examples=60, deadline=None)
 def test_batch_equals_solo_runs(problem):
     grid, points, cfg, forcing = problem
-    roles, states, params, sets = zip(*points)
-    sources = [SourceFunction.standard_logistic(p.kappa, p.mu) for p in params]
+    roles, states, params, sets, sources = zip(*points)
     batch = run_batch(
         states, params, sources, grid, cfg,
         [c3 for c3, _ in sets], [c45 for _, c45 in sets], forcing_u=forcing,

@@ -11,12 +11,8 @@ from kslab.diagnostics import (
     DiagnosticsSeries,
     convergence_audit,
     fit_decay,
-    functional_z3,
-    functional_z45,
     grad_magnitude_squared,
     h_monotonicity_check,
-    lp_norm,
-    lyapunov_H,
     mass_bound_check,
 )
 from kslab.params import Grid, Parameters, SourceFunction, State, validate
@@ -25,6 +21,8 @@ from kslab.thresholds import (
     CoefficientSet45D,
     ThresholdReport,
 )
+
+from points import one_point
 
 
 def unit_params(**kw):
@@ -51,35 +49,45 @@ def coeffs45(d1=1.0, d2=1.0, d3=1.0, d4=1.0):
     )
 
 
+def row(state, grid, params=None, c3=None, c45=None):
+    """The diagnostics row that DiagnosticsSeries.sample appends for one
+    point (params defaults to unit_params, no coefficient sets)."""
+    series = DiagnosticsSeries()
+    DiagnosticsSeries.sample(
+        [series], one_point(state), grid, [params or unit_params()], [0], [c3], [c45]
+    )
+    return {name: column[0] for name, column in series.columns.items()}
+
+
+def u_row(u, grid):
+    """The row of density u with a constant signal."""
+    return row(State(u=u, v=np.zeros(grid.cells), t=0.0), grid)
+
+
 class TestLpNorm:
     def test_constant_field_every_p(self):
         g = unit_grid()
-        fld = np.full(g.cells, 0.7)
-        for p in (1, 2, 3, 4, 6, math.inf):
-            assert lp_norm(fld, p, g) == pytest.approx(0.7, rel=1e-13)
+        norms = u_row(np.full(g.cells, 0.7), g)
+        for name in ("mass_u", "L2_u", "L3_u", "Linf_u"):
+            assert norms[name] == pytest.approx(0.7, rel=1e-13), name
 
     def test_indicator_half_measure(self):
         g = unit_grid(cells=8)
         fld = np.zeros(g.cells)
         fld[:4, :] = 1.0
-        assert lp_norm(fld, 1, g) == pytest.approx(0.5, rel=1e-13)
+        assert u_row(fld, g)["mass_u"] == pytest.approx(0.5, rel=1e-13)
 
     def test_hoelder_bound(self):
         g = unit_grid()
         rng = np.random.default_rng(1)
-        fld = rng.uniform(-2, 2, g.cells)
-        assert lp_norm(fld, 2, g) <= lp_norm(fld, math.inf, g) * g.volume**0.5 + 1e-12
+        norms = u_row(rng.uniform(-2, 2, g.cells), g)
+        assert norms["L2_u"] <= norms["Linf_u"] * g.volume**0.5 + 1e-12
 
     def test_p_monotonicity_unit_box(self):
         g = unit_grid()
         rng = np.random.default_rng(2)
-        fld = rng.uniform(0.1, 3.0, g.cells)
-        norms = [lp_norm(fld, p, g) for p in (1, 2, 3)]
-        assert norms[0] <= norms[1] <= norms[2] <= lp_norm(fld, math.inf, g)
-
-    def test_unsupported_p(self):
-        with pytest.raises(ValueError, match="unsupported"):
-            lp_norm(np.ones((4, 4)), 5, unit_grid(4))
+        norms = u_row(rng.uniform(0.1, 3.0, g.cells), g)
+        assert norms["mass_u"] <= norms["L2_u"] <= norms["L3_u"] <= norms["Linf_u"]
 
 
 class TestFunctionals:
@@ -89,18 +97,18 @@ class TestFunctionals:
         u = rng.uniform(0, 2, g.cells)
         state = State(u=u, v=np.full(g.cells, 0.3), t=0.0)
         expected = 2.5 * float(np.sum(u * u) * g.cell_volume)
-        assert functional_z3(state, g, coeffs3(d1=2.5)) == pytest.approx(expected)
+        assert row(state, g, c3=coeffs3(d1=2.5))["z3"] == pytest.approx(expected)
 
     def test_z3_unit_fields(self):
         g = unit_grid()
         state = State(u=np.ones(g.cells), v=np.ones(g.cells), t=0.0)
-        assert functional_z3(state, g, coeffs3()) == pytest.approx(1.0)
+        assert row(state, g, c3=coeffs3())["z3"] == pytest.approx(1.0)
 
     def test_z3_pure_gradient_term(self):
         g = Grid(dim=1, extents=(1.0,), cells=(64,))
         x = g.axis_centers(0)
         state = State(u=np.zeros(g.cells), v=np.cos(np.pi * x), t=0.0)
-        value = functional_z3(state, g, coeffs3(d3=2.0))
+        value = row(state, g, c3=coeffs3(d3=2.0))["z3"]
         g2 = grad_magnitude_squared(state.v, g)
         assert value == pytest.approx(2.0 * float(np.sum(g2 * g2) * g.cell_volume))
         # int |grad v|^4 for v = cos(pi x) is 3 pi^4 / 8
@@ -109,12 +117,14 @@ class TestFunctionals:
     def test_z45_unit_fields_and_cubic_scaling(self):
         g = unit_grid()
         ones = State(u=np.ones(g.cells), v=np.ones(g.cells), t=0.0)
-        assert functional_z45(ones, g, coeffs45()) == pytest.approx(1.0)
+        assert row(ones, g, c45=coeffs45())["z45"] == pytest.approx(1.0)
         rng = np.random.default_rng(4)
         u = rng.uniform(0, 1, g.cells)
-        base = functional_z45(State(u=u, v=np.ones(g.cells), t=0), g, coeffs45())
-        doubled = functional_z45(State(u=2 * u, v=np.ones(g.cells), t=0), g, coeffs45())
-        assert doubled == pytest.approx(8.0 * base, rel=1e-12)
+
+        def z45(density):
+            return row(State(u=density, v=np.ones(g.cells), t=0), g, c45=coeffs45())["z45"]
+
+        assert z45(2 * u) == pytest.approx(8.0 * z45(u), rel=1e-12)
 
 
 class TestLyapunov:
@@ -126,7 +136,7 @@ class TestLyapunov:
             v=np.full(g.cells, p.kappa * p.alpha / (p.beta * p.mu)),
             t=0.0,
         )
-        assert lyapunov_H(state, p, g) == pytest.approx(0.0, abs=1e-15)
+        assert row(state, g, p)["H"] == pytest.approx(0.0, abs=1e-15)
 
     def test_closed_form_at_doubled_density(self):
         p = unit_params()
@@ -137,16 +147,14 @@ class TestLyapunov:
             v=np.full(g.cells, p.kappa * p.alpha / (p.beta * p.mu)),
             t=0.0,
         )
-        assert lyapunov_H(state, p, g) == pytest.approx(
-            c * (1.0 - math.log(2.0)), rel=1e-12
-        )
+        assert row(state, g, p)["H"] == pytest.approx(c * (1.0 - math.log(2.0)), rel=1e-12)
 
     def test_chi_zero_drops_signal_term(self):
         p = unit_params(chi=0.0)
         g = unit_grid()
         c = p.kappa / p.mu
         far = State(u=np.full(g.cells, c), v=np.full(g.cells, 5.0), t=0.0)
-        assert lyapunov_H(far, p, g) == pytest.approx(0.0, abs=1e-15)
+        assert row(far, g, p)["H"] == pytest.approx(0.0, abs=1e-15)
 
     def test_tiny_equilibrium_stays_finite(self):
         # u/c passes the largest double at u = 10 for c = kappa/mu = 3e-308,
@@ -157,24 +165,20 @@ class TestLyapunov:
         state = State(u=np.array([10.0, 1.0, 1.0, 1.0]), v=np.zeros(4), t=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            h = lyapunov_H(state, validate(p), g)
+            h = row(state, g, validate(p))["H"]
         assert h == pytest.approx(13.0 * g.cell_volume, rel=1e-12)
 
-    def test_vacuum_rejected(self):
+    def test_vacuum_gives_nan(self):
         p = unit_params()
         g = unit_grid(4)
         u = np.full(g.cells, 0.5)
         u[0, 0] = 0.0
-        with pytest.raises(ValueError, match="vacuum"):
-            lyapunov_H(State(u=u, v=np.ones(g.cells), t=0.0), p, g)
+        assert math.isnan(row(State(u=u, v=np.ones(g.cells), t=0.0), g, p)["H"])
 
-    def test_negative_kappa_rejected(self):
-        with pytest.raises(ValueError, match="kappa > 0"):
-            lyapunov_H(
-                State(u=np.ones((4, 4)), v=np.ones((4, 4)), t=0.0),
-                unit_params(kappa=-1.0),
-                unit_grid(4),
-            )
+    @pytest.mark.parametrize("kappa", [-1.0, 0.0])
+    def test_nonpositive_kappa_gives_nan(self, kappa):
+        state = State(u=np.ones((4, 4)), v=np.ones((4, 4)), t=0.0)
+        assert math.isnan(row(state, unit_grid(4), unit_params(kappa=kappa))["H"])
 
     def test_strictly_convex_in_uniform_density(self):
         p = unit_params()
@@ -183,7 +187,7 @@ class TestLyapunov:
         v_eq = np.full(g.cells, p.kappa * p.alpha / (p.beta * p.mu))
 
         def h_of(s):
-            return lyapunov_H(State(u=np.full(g.cells, s), v=v_eq, t=0.0), p, g)
+            return row(State(u=np.full(g.cells, s), v=v_eq, t=0.0), g, p)["H"]
 
         samples = np.array([0.2, 0.5, 0.9, 1.0, 1.1, 2.0, 5.0]) * c
         values = [h_of(s) for s in samples]

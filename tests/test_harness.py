@@ -554,6 +554,32 @@ class TestCli:
         assert cli(argv) == EXIT_CONFIG
         assert "kappa/mu = 1e-310/" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_n_sweep_off_the_grid_dim_exit_3(self, tmp_path, capsys, command):
+        # the 1-D sweep scenario: its points run on its grid, so n stays 1
+        text = (Path(__file__).parent / "scenarios" / "small-diffusion-sweep.cfg").read_text()
+        text = _replace_key(text, "output_dir", tmp_path / "out")
+        argv = [command, "--config", str(tmp_path / "cfg.cfg")]
+        if command == "simulate":
+            text = _replace_key(_replace_key(text, "sweep_axis", "n"), "sweep_values", "4 5")
+        else:
+            argv += ["--axis", "n", "--values", "4,5"]
+        (tmp_path / "cfg.cfg").write_text(text)
+        assert cli(argv) == EXIT_CONFIG
+        assert "n must equal grid dim 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_output_dir_under_a_file_exit_3(self, tmp_path, capsys, command):
+        (tmp_path / "file").write_text("")
+        path = tmp_path / "cfg.cfg"
+        path.write_text(one_d_cfg(tmp_path, output_dir=tmp_path / "file" / "out"))
+        argv = [command, "--config", str(path)]
+        if command == "sweep":
+            argv += ["--axis", "d1", "--values", "1"]
+        assert cli(argv) == EXIT_CONFIG
+        assert "output_dir" in capsys.readouterr().err
+
     def test_bad_worker_setting_exit_3(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KSLAB_WORKERS", "two")
         path = tmp_path / "cfg.cfg"

@@ -48,7 +48,8 @@ class TestValidate:
     )
     @settings(max_examples=50, deadline=None)
     def test_idempotent(self, d1, d2, chi, kappa, mu):
-        assume(not 0.0 < kappa / mu < sys.float_info.min)  # rejected, see above
+        # rejected, see above; a positive kappa/mu can also round to 0
+        assume(not (kappa > 0.0 and kappa / mu < sys.float_info.min))
         p = make_params(d1=d1, d2=d2, chi=chi, kappa=kappa, mu=mu)
         assert validate(validate(p)) == validate(p)
 
@@ -88,9 +89,15 @@ class TestSource:
         assert f.a_cert == 0.0 and f.mu_cert == 2.0
 
     def test_zero_source(self):
+        # the logistic formula with kappa = mu = 0: s * 0.0 bit for bit, NaN
+        # at inf and NaN, and no certificate
         f = SourceFunction.zero()
+        assert (f.kappa, f.mu, f.a_cert, f.mu_cert) == (0.0, 0.0, 0.0, 0.0)
         assert f(5.0) == 0.0
         assert f.lipschitz_between(1.0, 1.0) == 0.0
+        s = np.array([0.0, -0.0, 2.5, -3.0, 1e308, np.inf, -np.inf, np.nan])
+        with np.errstate(invalid="ignore"):
+            assert f(s).tobytes() == (s * 0.0).tobytes()
 
 
 class TestGrid:
