@@ -57,9 +57,9 @@ EXPECTED = {"blowup": OUTCOME_BLOWUP, "nonfinite": OUTCOME_NONFINITE,
 @hs.composite
 def batches(draw):
     """A 1-, 2- or 3-D grid, 1 to 4 points that differ in one drawn field,
-    each with a role, its own initial fields and its source (f == 0 or the
-    logistic term for a plain point, whose run needs neither), and a shared
-    solver config."""
+    each with a role, its own initial fields and its source (the logistic
+    term, or for some plain points f == 0: only the other roles need the
+    logistic term to stop), and a shared solver config."""
     dim = draw(hs.integers(1, 3))
     cells = tuple(draw(hs.integers(4, 7)) for _ in range(dim))
     grid = Grid(dim=dim, extents=tuple(draw(hs.sampled_from([1.0, 0.7]))
