@@ -57,7 +57,7 @@ def _build_parser() -> _Parser:
 def _load_config(path: str) -> harness.ExperimentConfig:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise harness.ConfigError(f"cannot read config {path}: {exc}")
     return harness.parse_config(text)
 
@@ -110,7 +110,7 @@ def _cmd_fit(args) -> int:
         raise harness.ConfigError(f"bad --window, expected start,end: {args.window!r}")
     try:
         text = Path(args.csv).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise harness.ConfigError(f"cannot read csv {args.csv}: {exc}")
     reader = csv.DictReader(io.StringIO(text))
     for name in (args.column, "t"):

@@ -17,19 +17,29 @@ axes (advection does not depend on dt): each axis's face gradient of v, in
 one workspace stack, gives its extremes to the dt budget and its upwind flux
 to f(u).  A workspace also holds a scratch stack and output (u, v) pairs:
 run_batch keeps one with two pairs that alternate, so a warm run holds six
-full-grid stacks and allocates none; step alone stays pure.  Where four
-stacks of two slices of all its points fit in _BATCH_ELEMENTS doubles,
-run_batch buffers its diagnostics samples and takes them in one call per
-buffer; otherwise it samples at once in the workspace's two scratch stacks.
+full-grid stacks and allocates none; step alone stays pure.  On small
+grids run_batch defers its diagnostics samples (see there).
+
+Past dt, u and v step apart (forcing, explicit update, implicit diffusion,
+clamp); their diffusion products are the part of a step that scales over
+cores.  On stacks of at least _PARALLEL_ELEMENTS doubles, v steps in the
+face stack on a persistent helper thread (_on_helper) while u steps in tmp;
+on one CPU and in KSLAB_WORKERS workers, steps stay serial.  On a 2-CPU
+Xeon a split 64^3 step took 0.79 of a serial one and 32^3 1.06, so the
+threshold sits at that crossover.  The bytes are the same either way.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,6 +79,10 @@ CLAMP_TOLERANCE = 1e-12
 # or a 1,024-cell line runs alone, with the memory of a solo run; run_batch
 # buffers diagnostics samples in four stacks of this many doubles in all.
 _BATCH_ELEMENTS = 1 << 16
+
+# Stacks of at least this many doubles step v on a helper thread (see above).
+_PARALLEL_ELEMENTS = 1 << 16
+_helpers: Dict[int, "queue.SimpleQueue"] = {}  # pid -> its helper thread's task queue
 
 
 @dataclass(frozen=True)
@@ -241,10 +255,21 @@ def _line_inverses(n: int, thetas: Tuple[float, ...]) -> np.ndarray:
     return stack
 
 
-def _implicit_diffusion(f: np.ndarray, coef, dt, grid: Grid, tmp) -> np.ndarray:
+def _inverses(coef, dt, grid: Grid, points: int) -> List[np.ndarray]:
+    """Per axis, the line-inverse stack of P points for coef and dt, numbers
+    or per-point columns; [] if no point diffuses."""
+    rate = dt * coef
+    rates = rate.ravel().tolist() if np.ndim(rate) else [rate] * points
+    if not any(r > 0.0 for r in rates):
+        return []
+    return [_line_inverses(n, tuple(r / h ** 2 for r in rates))
+            for n, h in zip(grid.cells, grid.spacing)]
+
+
+def _implicit_diffusion(f: np.ndarray, inverses, grid: Grid, tmp) -> np.ndarray:
     """Sequential per-axis solves of (I - dt coef Lap_axis) x = f, in place,
-    for one field or a stack of fields; coef and dt are numbers or per-point
-    columns.
+    for one field or a stack of fields, with inverses = _inverses(coef, dt,
+    grid, P).
 
     Each axis is one batched matrix product with the points' line inverses,
     cached per (cells on the axis, per-point theta = dt coef / h_axis^2):
@@ -256,20 +281,16 @@ def _implicit_diffusion(f: np.ndarray, coef, dt, grid: Grid, tmp) -> np.ndarray:
     an ulp or so.  The products alternate between f and tmp (contiguous) so
     the last lands in f.
     """
+    if not inverses:
+        return f
     stack = f.reshape((-1,) + grid.cells)
     points = len(stack)
-    rate = dt * coef
-    rates = rate.ravel().tolist() if np.ndim(rate) else [rate] * points
-    if not any(r > 0.0 for r in rates):
-        return f
     base = stack[(slice(None),) + (slice(1),) * grid.dim].copy()
     src, dst = stack, tmp.reshape(stack.shape)
     if grid.dim % 2:
         src, dst = dst, src
     np.subtract(stack, base, out=src)
-    for axis, n in enumerate(grid.cells):
-        h2 = grid.spacing[axis] ** 2
-        inv = _line_inverses(n, tuple(r / h2 for r in rates))
+    for axis, (n, inv) in enumerate(zip(grid.cells, inverses)):
         if axis == grid.dim - 1:  # lines as rows; inv is symmetric
             np.matmul(src.reshape(points, -1, n), inv, out=dst.reshape(points, -1, n))
         else:
@@ -323,6 +344,56 @@ class _Workspace:
 ForcingFn = Callable[[Tuple[np.ndarray, ...], float], np.ndarray]
 
 
+def _advance(new, old, forcing, inverses, dt, t, mesh, grid: Grid, tmp):
+    """Finish one field's step in new, its rate without forcing, in place;
+    returns each point's clamped cells and peak."""
+    if forcing is not None:
+        for row, s in zip(new, t):
+            row += forcing(mesh, s)
+    new *= dt
+    new += old
+    _implicit_diffusion(new, inverses, grid, tmp)
+    rows = new.reshape(len(new), -1)
+    low = rows.min(axis=1)  # NaN: the point's clamps are still counted
+    clamped = 0 if (low >= -CLAMP_TOLERANCE).all() else np.count_nonzero(
+        rows < -CLAMP_TOLERANCE, axis=1)
+    negative = low < 0.0  # not at a NaN: such a point keeps its values, as alone
+    if negative.all():
+        np.maximum(new, 0.0, out=new)
+    else:
+        for row in np.flatnonzero(negative):
+            np.maximum(new[row], 0.0, out=new[row])
+    return clamped, rows.max(axis=1)
+
+
+def _serve(tasks: "queue.SimpleQueue") -> None:
+    """The helper thread: put what each task's fn returns or raises on done."""
+    for context, fn, done in iter(tasks.get, None):
+        try:
+            done.put(context.run(fn))
+        except BaseException as exc:
+            done.put(exc)
+
+
+def _on_helper(fn) -> Optional["queue.SimpleQueue"]:
+    """Start fn on this process's helper thread, in a copy of the caller's
+    context (numpy's errstate), and return the queue that gets what fn
+    returns or raises; None (run fn yourself) on one CPU and in a
+    multiprocessing child.  By pid: a forked child lacks its parent's thread."""
+    tasks = _helpers.get(os.getpid())
+    mp = sys.modules.get("multiprocessing")
+    cpus = getattr(os, "sched_getaffinity", lambda pid: [0])(0)  # serial if unknown
+    if tasks is None and (len(cpus) < 2 or (mp and mp.parent_process())):
+        return None
+    import queue  # not at module import, which it costs 0.2 MiB in every process
+    if tasks is None:
+        tasks = _helpers[os.getpid()] = queue.SimpleQueue()
+        threading.Thread(target=_serve, args=(tasks,), daemon=True).start()
+    done = queue.SimpleQueue()
+    tasks.put((contextvars.copy_context(), fn, done))
+    return done
+
+
 def step(
     state: State,
     params: Sequence[Parameters],
@@ -361,39 +432,31 @@ def step(
         return state, StepInfo(dt=zeros, clamped=zeros.astype(int),
                                dt_collapse=np.array(collapse), peaks=(zeros, zeros))
     t = state.t.tolist()
-    dt = [
-        min(d, cfg.t_end - s) if cfg.t_end - s > 0.0 else d for d, s in zip(dt_cfl, t)
-    ]
+    dt = [min(d, cfg.t_end - s) if cfg.t_end - s > 0.0 else d for d, s in zip(dt_cfl, t)]
     dt_column = _column(dt, grid.dim)
-    np.multiply(v, -work.beta, out=new_v)
-    new_v += np.multiply(u, work.alpha, out=work.tmp)
     if mesh is None and (forcing_u or forcing_v):
         mesh = grid.meshgrid()
-    for new, forcing in ((new_u, forcing_u), (new_v, forcing_v)):
-        if forcing is not None:
-            for row, s in zip(new, t):
-                row += forcing(mesh, s)
-    clamped, peaks = np.zeros(len(u), dtype=int), []
-    for new, old, coef in ((new_u, u, work.d1), (new_v, v, work.d2)):
-        new *= dt_column
-        new += old
-        _implicit_diffusion(new, coef, dt_column, grid, work.tmp)
-        rows = new.reshape(len(u), -1)
-        low = rows.min(axis=1)  # NaN: the point's clamps are still counted
-        if not (low >= -CLAMP_TOLERANCE).all():
-            clamped += np.count_nonzero(rows < -CLAMP_TOLERANCE, axis=1)
-        negative = low < 0.0  # not at a NaN: such a point keeps its values, as alone
-        if negative.all():
-            np.maximum(new, 0.0, out=new)
-        else:
-            for row in np.flatnonzero(negative):
-                np.maximum(new[row], 0.0, out=new[row])
-        peaks.append(rows.max(axis=1))
+    inv_u, inv_v = (_inverses(coef, dt_column, grid, len(u)) for coef in (work.d1, work.d2))
+
+    def advance_v():  # work.face is dead once the last axis is advected
+        np.multiply(v, -work.beta, out=new_v)
+        np.add(new_v, np.multiply(u, work.alpha, out=work.face), out=new_v)
+        return _advance(new_v, v, forcing_v, inv_v, dt_column, t, mesh, grid, work.face)
+
+    done = _on_helper(advance_v) if u.size >= _PARALLEL_ELEMENTS else None
+    try:
+        clamped_u, peak_u = _advance(new_u, u, forcing_u, inv_u, dt_column, t, mesh, grid, work.tmp)
+    finally:  # the v half ends before step does, also when the u half raises
+        half_v = None if done is None else done.get()
+    if isinstance(half_v, BaseException):
+        raise half_v
+    clamped_v, peak_v = advance_v() if half_v is None else half_v
+    clamped = np.zeros(len(u), dtype=int) + clamped_u + clamped_v
     if any(collapse):
         clamped[collapse] = 0
         dt = [0.0 if c else d for c, d in zip(collapse, dt)]
     info = StepInfo(dt=np.array(dt), clamped=clamped, dt_collapse=np.array(collapse),
-                    peaks=tuple(peaks))
+                    peaks=(peak_u, peak_v))
     return State(u=new_u, v=new_v, t=np.array([s + d for s, d in zip(t, dt)])), info
 
 

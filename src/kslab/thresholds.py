@@ -160,7 +160,9 @@ def mu0_general(params: Parameters, convex: bool = False) -> Tuple[float, str]:
     The clean branch (n/(4 d1)) alpha chi applies only for equal diffusion,
     attractive chemotaxis, and a convex domain.  Otherwise the general
     branch is n/(sqrt(2n+4)-2) (1/d1 + 2/d2) alpha |chi|, raised for
-    n = 4, 5 to h(n, d1, d2)/3 alpha |chi| when that is larger.
+    n = 4, 5 to h(n, d1, d2)/3 alpha |chi| when that is larger: for d1/d2
+    above 19.86 (n = 4) or 21.22 (n = 5).  There mu0 rises with d1, so it
+    is not monotone in d1, unlike the abstract's claim for mu0.
     """
     validate(params)
     _require_dimension(params.n)

@@ -52,16 +52,20 @@ def test_package_imports_resolve():
     assert [n for n in names if not hasattr(kslab, n)] == []
 
 
-def loaded_by_import(module, package="kslab"):
-    """Whether a fresh interpreter has module loaded after importing package."""
+def fresh_interpreter(probe, *args):
+    """What a fresh interpreter that runs the code probe prints."""
     src = str(Path(kslab.__file__).resolve().parents[1])
-    probe = f"import sys, {package}; print({module!r} in sys.modules)"
     done = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", probe, *args],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True, timeout=60,
     )
-    return done.stdout.strip() == "True"
+    return done.stdout.strip()
+
+
+def loaded_by_import(module, package="kslab"):
+    """Whether a fresh interpreter has module loaded after importing package."""
+    return fresh_interpreter(f"import sys, {package}; print({module!r} in sys.modules)") == "True"
 
 
 def test_import_loads_no_scipy():
@@ -72,6 +76,38 @@ def test_import_loads_no_scipy():
 def test_import_loads_no_process_pool(package):
     # only a sweep with KSLAB_WORKERS > 1 imports concurrent.futures
     assert not loaded_by_import("concurrent.futures", package)
+
+
+def test_import_starts_no_thread():
+    probe = "import threading; n = threading.active_count(); import kslab, kslab.cli; "
+    assert fresh_interpreter(probe + "print(threading.active_count() - n)") == "0"
+
+
+# one step of a 256^2 bump, on one CPU or (even where there is one) on two
+ONE_STEP = """
+import hashlib, os, sys, threading
+import numpy as np
+if sys.argv[1] == "1":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+else:
+    os.sched_getaffinity = lambda pid: {0, 1}
+import kslab.solver as sv
+from kslab.params import Grid, Parameters, SourceFunction, State
+grid = Grid(dim=2, extents=(1.0, 1.0), cells=(256, 256))
+assert grid.cells[0] * grid.cells[1] >= sv._PARALLEL_ELEMENTS
+bump = sv.initial_condition("gaussian-bump", grid, base_v=0.5, amplitude=2.0)
+p = Parameters(d1=1.0, d2=0.5, chi=1.0, alpha=1.0, beta=1.0, kappa=1.0, mu=2.0, n=2)
+state = State(u=bump.u[None], v=bump.v[None], t=np.zeros(1))
+new, _ = sv.step(state, [p], [SourceFunction.standard_logistic(1.0, 2.0)], sv.SolverConfig(), grid)
+print(threading.active_count(), hashlib.sha256(new.u.tobytes() + new.v.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_one_cpu_starts_no_helper_and_gives_the_split_bytes():
+    one = fresh_interpreter(ONE_STEP, "1").split()
+    two = fresh_interpreter(ONE_STEP, "2").split()
+    assert (one[0], two[0]) == ("1", "2") and one[1] == two[1]
 
 
 @pytest.mark.parametrize(

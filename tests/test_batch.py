@@ -1,11 +1,15 @@
 """run_batch against solo runs: every point of a lockstep batch gets exactly
 the trajectory of its own run, whatever the other points do, its deferred
 diagnostics equal samples taken the moment each state exists, and the
-batch's stacked line inverses are built once per theta."""
+batch's stacked line inverses are built once per theta.  A step that
+advances v on the helper thread gives the serial step's bytes."""
 
 import collections
+import contextlib
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from kslab.solver import (
     OUTCOME_NONFINITE,
     SolverConfig,
     initial_condition,
+    manufactured_problem,
     run,
     run_batch,
 )
@@ -188,20 +193,117 @@ def test_batch_equals_solo_runs(problem):
             assert got.outcome == EXPECTED[role]
 
 
-def test_stacked_inverses_built_once_per_theta(monkeypatch):
-    """16 points with 16 values of d1 hold 17 thetas per step (the d2 one is
-    shared, and differs from theirs): more than the stacked-inverse cache has
-    entries, but its keys are whole stacks, so over 50 steps every theta is
-    inverted once."""
-    builds = collections.Counter()
-    build = sv._line_inverse
+@contextlib.contextmanager
+def threaded(split=True):
+    """Record the thread that advances each field; with split, every step,
+    of any size, splits over the caller's thread and the helper thread, also
+    on one CPU, and the threads switch every microsecond.  Yields the
+    helper's records: one per v half."""
+    ran = []
+    advance = sv._advance
 
-    def counted(n, theta):
-        builds[n, theta] += 1
-        return build(n, theta)
+    def recorded(*args):
+        ran.append(threading.current_thread())
+        return advance(*args)
 
-    monkeypatch.setattr(sv, "_line_inverse", counted)
-    sv._line_inverses.cache_clear()
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as patch:
+        if split:
+            patch.setattr(sv, "_PARALLEL_ELEMENTS", 0)
+            patch.setattr(sv.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            sys.setswitchinterval(1e-6)
+        patch.setattr(sv, "_advance", recorded)
+        helper = []
+        try:
+            yield helper
+        finally:
+            sys.setswitchinterval(interval)
+        helper += [thread for thread in ran if thread is not threading.main_thread()]
+
+
+def assert_split_equals_serial(march):
+    """march() gives the same trajectories serially and split over two
+    threads, with every v half on the helper; returns the split ones."""
+    with threaded(split=False) as helper:
+        serial = march()
+    assert not helper
+    with threaded() as helper:
+        split = march()
+    assert helper or not any(t.steps for t in split)
+    for got, want in zip(split, serial):
+        assert_same_run(got, want)
+    return split
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing points
+@given(problem=batches())
+@settings(max_examples=30, deadline=None)
+def test_split_step_equals_serial_step(problem):
+    grid, points, cfg, forcing = problem
+    roles, states, params, sets, sources = zip(*points)
+    assert_split_equals_serial(lambda: run_batch(
+        states, params, sources, grid, cfg, [c3 for c3, _ in sets],
+        [c45 for _, c45 in sets], forcing_u=forcing, forcing_v=forcing,
+    ))
+
+
+def test_split_step_keeps_the_manufactured_forcings():
+    p = Parameters(d1=0.5, d2=1.0, chi=1.0, alpha=1.0, beta=2.0, kappa=1.0, mu=2.0, n=1)
+    source = SourceFunction.standard_logistic(p.kappa, p.mu)
+    exact, _, forcing_u, forcing_v = manufactured_problem(p, source)
+    grid = Grid(dim=1, extents=(1.0,), cells=(64,))
+    state = State(u=exact(grid.meshgrid(), 0.0), v=exact(grid.meshgrid(), 0.0), t=0.0)
+    cfg = SolverConfig(dt_initial=1e-3, t_end=0.05)
+    assert_split_equals_serial(lambda: [
+        run(state, p, source, grid, cfg, forcing_u=forcing_u, forcing_v=forcing_v)
+    ])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing point
+def test_split_step_keeps_clamps_nans_and_collapses():
+    """At cfl 1 a checkerboard signal clamps u; alpha u overflows the v half
+    of one point; one point's dt collapses and one blows up."""
+    grid = Grid(dim=2, extents=(1.0, 1.0), cells=(32, 32))
+    base = Parameters(d1=1.0, d2=0.5, chi=2.0, alpha=1.0, beta=1.0, kappa=1.0, mu=2.0, n=2)
+    roles = ["plain", "nonfinite", "collapse", "blowup"]
+    params = [dataclasses.replace(base, **ROLES[role]) for role in roles]
+    checkerboard = 5.0 * (np.indices(grid.cells).sum(axis=0) % 2)
+    states = [State(u=np.full(grid.cells, ROLE_U0.get(role, 0.5)),
+                    v=checkerboard if role == "plain" else np.ones(grid.cells), t=0.0)
+              for role in roles]
+    sources = [SourceFunction.standard_logistic(p.kappa, p.mu) for p in params]
+    cfg = SolverConfig(dt_initial=1e-3, dt_min=1e-5, t_end=0.05, cfl_safety=1.0,
+                       blowup_linf_threshold=BLOWUP)
+    split = assert_split_equals_serial(lambda: run_batch(states, params, sources, grid, cfg))
+    assert [t.outcome for t in split] == [OUTCOME_COMPLETED] + [
+        EXPECTED[role] for role in roles[1:]]
+    assert split[0].clamp_total > 0
+
+
+def test_split_step_error_reaches_the_caller():
+    """An exception of the v half re-raises in the caller, and numpy's
+    errstate applies there as in the serial step; the helper lives on."""
+    grid = Grid(dim=1, extents=(1.0,), cells=(8,))
+    p = Parameters(d1=1.0, d2=1.0, chi=1.0, alpha=1.0, beta=1.0, kappa=1.0, mu=2.0, n=1)
+    source = SourceFunction.standard_logistic(p.kappa, p.mu)
+    state = State(u=np.full(8, 2.0), v=np.ones(8), t=0.0)
+    cfg = SolverConfig(dt_initial=1e-3, t_end=0.01)
+
+    def broken(mesh, t):
+        raise ZeroDivisionError("forcing_v")
+
+    with threaded() as helper:
+        with pytest.raises(ZeroDivisionError, match="forcing_v"):
+            run(state, p, source, grid, cfg, forcing_v=broken)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            run(state, dataclasses.replace(p, alpha=1e308), source, grid, cfg)
+        assert run(state, p, source, grid, cfg).outcome == OUTCOME_COMPLETED
+    # 10 steps and the failing one; alpha u overflows before the v field's advance
+    assert len(helper) == 11
+
+
+def mixed_d1_batch():
+    """16 points of a 16^2 grid with 16 values of d1, and a shared d2."""
     grid = Grid(dim=2, extents=(1.0, 1.0), cells=(16, 16))
     params = [
         Parameters(d1=0.1 * (k + 1), d2=1.05, chi=1.0, alpha=1.0, beta=1.0,
@@ -213,10 +315,34 @@ def test_stacked_inverses_built_once_per_theta(monkeypatch):
         "gaussian-bump", grid, base_u=0.5, base_v=0.25, amplitude=1.0
     )
     cfg = SolverConfig(dt_initial=1e-3, t_end=0.05, snapshot_stride=10)
-    trajectories = run_batch([state] * 16, params, [source] * 16, grid, cfg)
-    assert [t.steps for t in trajectories] == [50] * 16
-    assert max(builds.values()) == 1
-    assert len(builds) <= 2 * 17  # a shortened last step brings its own thetas
+    return [state] * 16, params, [source] * 16, grid, cfg
+
+
+def test_split_step_on_a_mixed_d1_batch():
+    assert_split_equals_serial(lambda: run_batch(*mixed_d1_batch()))
+
+
+def test_stacked_inverses_built_once_per_theta(monkeypatch):
+    """16 points with 16 values of d1 hold 17 thetas per step (the d2 one is
+    shared, and differs from theirs): more than the stacked-inverse cache has
+    entries, but its keys are whole stacks, so over 50 steps every theta is
+    inverted once, also when v steps on the helper thread."""
+    builds = collections.Counter()
+    build = sv._line_inverse
+
+    def counted(n, theta):
+        builds[n, theta] += 1
+        return build(n, theta)
+
+    monkeypatch.setattr(sv, "_line_inverse", counted)
+    for split in (False, True):
+        builds.clear()
+        sv._line_inverses.cache_clear()
+        with threaded(split) as helper:
+            trajectories = run_batch(*mixed_d1_batch())
+        assert [t.steps for t in trajectories] == [50] * 16 and len(helper) == 50 * split
+        assert max(builds.values()) == 1
+        assert len(builds) <= 2 * 17  # a shortened last step brings its own thetas
 
 
 def test_stopped_point_leaves_the_stack():

@@ -1,7 +1,11 @@
+import contextlib
 import csv
 import dataclasses
 import math
 import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -443,6 +447,49 @@ class TestSweep:
         assert len(outputs["1"]) == 6 and outputs["2"] == outputs["1"]
 
 
+    def test_parallel_sweep_after_a_split_step(self, tmp_path):
+        """KSLAB_WORKERS=2 forks the workers of a sweep after this process
+        has split a step over its helper thread: the sweep finishes, so no
+        worker waits on a thread it does not have, and writes the serial
+        sweep's bytes.  No worker starts a thread of its own: with
+        threading gone from the solver, that would fail its points."""
+        values = (1.0, 0.5, 0.25, 2.0, 0.125)
+        base = self._base(tmp_path)
+        run_sweep(dataclasses.replace(base, output_dir=str(tmp_path / "serial")), "d1", values)
+        path = tmp_path / "forked.cfg"
+        path.write_text(serialize_config(
+            dataclasses.replace(base, output_dir=str(tmp_path / "forked"))))
+        script = f"""
+import os, sys
+import numpy as np
+import kslab.solver as sv
+from kslab.harness import parse_config, run_sweep
+from kslab.params import Grid, Parameters, SourceFunction, State
+sv._PARALLEL_ELEMENTS = 0
+os.sched_getaffinity = lambda pid: {{0, 1}}
+p = Parameters(d1=1.0, d2=1.0, chi=1.0, alpha=1.0, beta=1.0, kappa=1.0, mu=2.0, n=1)
+sv.run(State(u=np.ones(8), v=np.ones(8), t=0.0), p, SourceFunction.standard_logistic(1.0, 2.0),
+       Grid(dim=1, extents=(1.0,), cells=(8,)), sv.SolverConfig(t_end=0.05))
+assert sv._helpers
+sv.threading = None
+os.environ["KSLAB_WORKERS"] = "2"
+run_sweep(parse_config(open(sys.argv[1]).read()), "d1", {values!r})
+"""
+        src = str(Path(sv.__file__).resolve().parents[1])
+        proc = subprocess.Popen([sys.executable, "-c", script, str(path)],
+                                env={**os.environ, "PYTHONPATH": src}, start_new_session=True)
+        try:
+            assert proc.wait(timeout=120) == 0
+        finally:  # a hung worker too
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+        outputs = [
+            {p.relative_to(out): p.read_bytes() for p in out.rglob("*.csv")}
+            for out in (tmp_path / "serial", tmp_path / "forked")
+        ]
+        assert len(outputs[0]) == 6 and outputs[1] == outputs[0]
+
+
 class TestCli:
     def test_version(self, capsys):
         assert cli(["--version"]) == 0
@@ -513,6 +560,21 @@ class TestCli:
         ]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"column {column}, data row 2 of" in err and "not a number" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "thresholds", "fit"])
+    def test_non_utf8_file_exit_3(self, tmp_path, capsys, command):
+        path = tmp_path / "binary.cfg"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        argv = {
+            "simulate": ["--config", str(path)],
+            "sweep": ["--config", str(path), "--axis", "d1", "--values", "1"],
+            "thresholds": ["--config", str(path)],
+            "fit": ["--csv", str(path), "--column", "u", "--window", "0,1"],
+        }[command]
+        assert cli([command, *argv]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"cannot read {'csv' if command == 'fit' else 'config'} {path}" in err
+        assert "can't decode byte 0xff" in err
 
     def test_simulate_config_error_exit_3(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -17,6 +17,7 @@ from kslab.solver import (
     OUTCOME_NONFINITE,
     SolverConfig,
     _implicit_diffusion,
+    _inverses,
     _line_inverse,
     _subtract_advection,
     compute_dt,
@@ -185,7 +186,7 @@ class TestImplicitDiffusion:
         coef = 0.7
         dt = theta * grid.spacing[0] ** 2 / coef
         f = np.random.default_rng(grid.dim).uniform(0.5, 1.5, grid.cells)
-        got = _implicit_diffusion(f.copy(), coef, dt, grid, np.empty(grid.cells))
+        got = _implicit_diffusion(f.copy(), _inverses(coef, dt, grid, 1), grid, np.empty(grid.cells))
         np.testing.assert_allclose(
             got, line_solve_reference(f, coef, dt, grid), rtol=1e-12, atol=0.0
         )
@@ -195,11 +196,13 @@ class TestImplicitDiffusion:
         dt = 1e3 * grid.spacing[0] ** 2
         for value in (0.37, 7.3, 2.2250738585e-313):  # the last is subnormal
             const = np.full(grid.cells, value)
-            got = _implicit_diffusion(const.copy(), 1.0, dt, grid, np.empty(grid.cells))
+            got = _implicit_diffusion(
+                const.copy(), _inverses(1.0, dt, grid, 1), grid, np.empty(grid.cells)
+            )
             assert np.array_equal(got, const)
         f = np.random.default_rng(7).uniform(0.5, 1.5, grid.cells)
         mass = np.sum(f)
-        got = _implicit_diffusion(f, 1.0, dt, grid, np.empty(grid.cells))
+        got = _implicit_diffusion(f, _inverses(1.0, dt, grid, 1), grid, np.empty(grid.cells))
         assert abs(np.sum(got) - mass) <= 1e-13 * mass
 
     def test_line_inverse_is_read_only(self):

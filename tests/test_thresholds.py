@@ -114,6 +114,62 @@ class TestMu0:
         assert small > 1e3 * unit
 
 
+# d1/d2 from 1e-3 to 1e3, four points a decade, with the other diffusion 1
+RATIOS = np.logspace(-3.0, 3.0, 25).tolist()
+# d1/d2 where h/3 overtakes the base formula, for any d2: 19.86 (n = 4) and
+# 21.22 (n = 5); from a 301-point scan at d2 = 0.01, 0.1, 1 and 10
+H_OVERTAKES = {4: 19.86, 5: 21.22}
+
+
+def base_mu0(n, d1, d2):
+    """mu0's base formula, n/(sqrt(2n+4)-2) (1/d1 + 2/d2), at alpha = chi = 1."""
+    return n / (math.sqrt(2.0 * n + 4.0) - 2.0) * (1.0 / d1 + 2.0 / d2)
+
+
+class TestAbstractClaims:
+    """PAPER.md: mu0 and mu1 tend to infinity as d1 -> 0 or d2 -> 0 and
+    decrease in d1 and d2.  mu1 does, and mu0 does where its base formula
+    binds; for n = 4, 5, once h/3 binds, mu0 rises with d1."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("axis", ["d1", "d2"])
+    def test_thresholds_diverge_as_a_diffusion_vanishes(self, n, axis):
+        ds = [10.0 ** -k for k in range(4)]
+        mu0s = [mu0_general(make_params(n=n, **{axis: d}))[0] for d in ds]
+        mu1s = [mu1(make_params(n=n, **{axis: d})) for d in ds]
+        for values, gain in ((mu0s, 300.0), (mu1s, 30.0)):  # at least 1/d, 1/sqrt(d)
+            assert all(a < b for a, b in zip(values, values[1:]))
+            assert values[-1] > gain * values[0]
+
+    @pytest.mark.parametrize("axis", ["d1", "d2"])
+    def test_mu1_decreases_in_each_diffusion(self, axis):
+        values = [mu1(make_params(**{axis: r})) for r in RATIOS]
+        assert all(a > b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("axis", ["d1", "d2"])
+    def test_mu0_decreases_where_the_base_formula_binds(self, n, axis):
+        steps = 0
+        for a, b in zip(RATIOS, RATIOS[1:]):
+            pa, pb = make_params(n=n, **{axis: a}), make_params(n=n, **{axis: b})
+            (mu_a, _), (mu_b, _) = mu0_general(pa), mu0_general(pb)
+            if mu_a == base_mu0(n, pa.d1, pa.d2) and mu_b == base_mu0(n, pb.d1, pb.d2):
+                assert mu_a > mu_b
+                steps += 1
+        assert steps >= (len(RATIOS) - 1 if n == 3 else 10)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("d2", [0.01, 1.0, 100.0])
+    def test_h_overtakes_at_a_fixed_ratio_and_mu0_then_rises(self, n, d2):
+        ratio = H_OVERTAKES[n]
+        below, above = ((ratio + shift) * d2 for shift in (-0.05, 0.05))
+        assert mu0_general(make_params(n=n, d1=below, d2=d2))[0] == base_mu0(n, below, d2)
+        assert mu0_general(make_params(n=n, d1=above, d2=d2))[0] > base_mu0(n, above, d2)
+        beyond = [mu0_general(make_params(n=n, d1=r * d2, d2=d2))[0]
+                  for r in (ratio + 1.0, 50.0, 1e3)]
+        assert beyond[0] < beyond[1] < beyond[2]
+
+
 class TestMinimizeH:
     def test_matches_bruteforce_unit(self):
         oracle_value, _, _ = h_bruteforce(4, 1.0, 1.0, cells=600, refine=2)
