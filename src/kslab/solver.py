@@ -22,11 +22,11 @@ grids run_batch defers its diagnostics samples (see there).
 
 Past dt, u and v step apart (forcing, explicit update, implicit diffusion,
 clamp); their diffusion products are the part of a step that scales over
-cores.  On stacks of at least _PARALLEL_ELEMENTS doubles, v steps in the
-face stack on a persistent helper thread (_on_helper) while u steps in tmp;
-on one CPU and in KSLAB_WORKERS workers, steps stay serial.  On a 2-CPU
-Xeon a split 64^3 step took 0.79 of a serial one and 32^3 1.06, so the
-threshold sits at that crossover.  The bytes are the same either way.
+cores.  On stacks of at least _PARALLEL_ELEMENTS doubles, v steps (and
+forcing_v runs) in the face stack on a persistent helper thread, while u
+steps in tmp; on one CPU and in KSLAB_WORKERS workers, steps stay serial.
+On a 2-CPU Xeon a split 64^3 step took 0.79 of a serial one and 32^3
+1.06: the threshold sits at that crossover.  The bytes are the same.
 """
 
 from __future__ import annotations
