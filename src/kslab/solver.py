@@ -17,21 +17,18 @@ axes (advection does not depend on dt): each axis's face gradient of v, in
 one workspace stack, gives its extremes to the dt budget and its upwind flux
 to f(u).  A workspace also holds a scratch stack and output (u, v) pairs:
 run_batch keeps one with two pairs that alternate, so a warm run holds six
-full-grid stacks and allocates none; step alone stays pure.  On small
-grids run_batch defers its diagnostics samples (see there).
+full-grid stacks and allocates none; step alone stays pure.  Where four
+stacks of two slices of all its points fit in _BATCH_ELEMENTS doubles,
+run_batch buffers its diagnostics samples and takes them in one call per
+buffer; otherwise it samples at once in the workspace's two scratch stacks.
 
-Past dt, u and v step apart (forcing, explicit update, implicit diffusion,
-clamp); their diffusion products are the part of a step that scales over
-cores.  On stacks of at least _PARALLEL_ELEMENTS doubles, v steps (and
-forcing_v runs) in the face stack on a persistent helper thread, while u
-steps in tmp; on one CPU and in KSLAB_WORKERS workers, steps stay serial.
-On a 2-CPU Xeon a split 64^3 step took 0.79 of a serial one and 32^3
-1.06: the threshold sits at that crossover.  The bytes are the same.
+On stacks of at least _PARALLEL_ELEMENTS doubles, step advances v on a
+persistent helper thread while the caller advances u, with the same bytes;
+on one CPU and in KSLAB_WORKERS workers it stays serial.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
 import os
 import sys
@@ -39,7 +36,7 @@ import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,9 +77,9 @@ CLAMP_TOLERANCE = 1e-12
 # buffers diagnostics samples in four stacks of this many doubles in all.
 _BATCH_ELEMENTS = 1 << 16
 
-# Stacks of at least this many doubles step v on a helper thread (see above).
+# Stacks of at least this many doubles split a step (split/serial: 64^3 0.79, 32^3 1.06).
 _PARALLEL_ELEMENTS = 1 << 16
-_helpers: Dict[int, "queue.SimpleQueue"] = {}  # pid -> its helper thread's task queue
+_helper = (0, None)  # (pid, task queue): a forked child lacks its parent's thread
 
 
 @dataclass(frozen=True)
@@ -258,8 +255,7 @@ def _line_inverses(n: int, thetas: Tuple[float, ...]) -> np.ndarray:
 def _inverses(coef, dt, grid: Grid, points: int) -> List[np.ndarray]:
     """Per axis, the line-inverse stack of P points for coef and dt, numbers
     or per-point columns; [] if no point diffuses."""
-    rate = dt * coef
-    rates = rate.ravel().tolist() if np.ndim(rate) else [rate] * points
+    rates = np.broadcast_to(np.ravel(dt * coef), (points,)).tolist()
     if not any(r > 0.0 for r in rates):
         return []
     return [_line_inverses(n, tuple(r / h ** 2 for r in rates))
@@ -367,30 +363,32 @@ def _advance(new, old, forcing, inverses, dt, t, mesh, grid: Grid, tmp):
 
 
 def _serve(tasks: "queue.SimpleQueue") -> None:
-    """The helper thread: put what each task's fn returns or raises on done."""
-    for context, fn, done in iter(tasks.get, None):
+    """The helper thread: run each task's fn under its caller's errstate and
+    put what fn returns or raises on done."""
+    for errstate, fn, done in iter(tasks.get, None):
         try:
-            done.put(context.run(fn))
+            with np.errstate(**errstate):
+                done.put(fn())
         except BaseException as exc:
             done.put(exc)
 
 
 def _on_helper(fn) -> Optional["queue.SimpleQueue"]:
-    """Start fn on this process's helper thread, in a copy of the caller's
-    context (numpy's errstate), and return the queue that gets what fn
-    returns or raises; None (run fn yourself) on one CPU and in a
-    multiprocessing child.  By pid: a forked child lacks its parent's thread."""
-    tasks = _helpers.get(os.getpid())
+    """Start fn on this process's helper thread under the caller's errstate;
+    return the queue that gets what fn returns or raises, or None (run fn
+    yourself) on one CPU and in a multiprocessing child."""
+    global _helper
     mp = sys.modules.get("multiprocessing")
     cpus = getattr(os, "sched_getaffinity", lambda pid: [0])(0)  # serial if unknown
-    if tasks is None and (len(cpus) < 2 or (mp and mp.parent_process())):
+    if _helper[0] != os.getpid() and (len(cpus) < 2 or (mp and mp.parent_process())):
         return None
-    import queue  # not at module import, which it costs 0.2 MiB in every process
-    if tasks is None:
-        tasks = _helpers[os.getpid()] = queue.SimpleQueue()
+    import queue  # not at module import: it costs 0.2 MiB in every process
+    if _helper[0] != os.getpid():  # registered once started: start() may raise
+        tasks = queue.SimpleQueue()
         threading.Thread(target=_serve, args=(tasks,), daemon=True).start()
+        _helper = (os.getpid(), tasks)
     done = queue.SimpleQueue()
-    tasks.put((contextvars.copy_context(), fn, done))
+    _helper[1].put((dict(np.geterr(), call=np.geterrcall()), fn, done))
     return done
 
 
@@ -432,7 +430,9 @@ def step(
         return state, StepInfo(dt=zeros, clamped=zeros.astype(int),
                                dt_collapse=np.array(collapse), peaks=(zeros, zeros))
     t = state.t.tolist()
-    dt = [min(d, cfg.t_end - s) if cfg.t_end - s > 0.0 else d for d, s in zip(dt_cfl, t)]
+    dt = [
+        min(d, cfg.t_end - s) if cfg.t_end - s > 0.0 else d for d, s in zip(dt_cfl, t)
+    ]
     dt_column = _column(dt, grid.dim)
     if mesh is None and (forcing_u or forcing_v):
         mesh = grid.meshgrid()

@@ -302,6 +302,50 @@ def test_split_step_error_reaches_the_caller():
     assert len(helper) == 11
 
 
+def test_split_step_keeps_the_callers_error_callback():
+    """numpy's error callback, set with errstate on the caller's thread,
+    hears the v half's overflow as in the serial step."""
+    grid = Grid(dim=1, extents=(1.0,), cells=(8,))
+    p = Parameters(d1=1.0, d2=1.0, chi=1.0, alpha=1e308, beta=1.0, kappa=1.0, mu=2.0, n=1)
+    source = SourceFunction.standard_logistic(p.kappa, p.mu)
+    state = State(u=np.full((1, 8), 2.0), v=np.ones((1, 8)), t=np.zeros(1))
+    heard = {}
+    for split in (False, True):
+        calls = heard[split] = []
+        with threaded(split) as helper, np.errstate(
+                all="ignore", over="call", call=lambda kind, flag: calls.append(kind)):
+            sv.step(state, [p], [source], SolverConfig(), grid)
+        assert len(helper) == split
+    assert heard[True] == heard[False] == ["overflow"]
+
+
+def test_helper_that_cannot_start_is_not_kept(monkeypatch):
+    """A helper thread whose start raises fails its step, and the next step
+    starts another rather than wait on a queue that no thread serves."""
+    grid = Grid(dim=1, extents=(1.0,), cells=(8,))
+    p = Parameters(d1=1.0, d2=1.0, chi=1.0, alpha=1.0, beta=1.0, kappa=1.0, mu=2.0, n=1)
+    source = SourceFunction.standard_logistic(p.kappa, p.mu)
+    state = State(u=np.full(8, 2.0), v=np.ones(8), t=0.0)
+    cfg = SolverConfig(dt_initial=1e-3, t_end=0.01)
+    start, refused = threading.Thread.start, []
+
+    def start_once_refused(thread):
+        if not refused:
+            refused.append(thread)
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start_once_refused)
+    monkeypatch.setattr(sv, "_helper", (0, None))
+    with threaded() as helper:
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            run(state, p, source, grid, cfg)
+        assert sv._helper == (0, None)
+        assert run(state, p, source, grid, cfg).outcome == OUTCOME_COMPLETED
+    assert len(helper) == 10 and sv._helper[1] is not None
+    sv._helper[1].put(None)  # ends this test's helper thread
+
+
 def mixed_d1_batch():
     """16 points of a 16^2 grid with 16 values of d1, and a shared d2."""
     grid = Grid(dim=2, extents=(1.0, 1.0), cells=(16, 16))

@@ -470,7 +470,7 @@ os.sched_getaffinity = lambda pid: {{0, 1}}
 p = Parameters(d1=1.0, d2=1.0, chi=1.0, alpha=1.0, beta=1.0, kappa=1.0, mu=2.0, n=1)
 sv.run(State(u=np.ones(8), v=np.ones(8), t=0.0), p, SourceFunction.standard_logistic(1.0, 2.0),
        Grid(dim=1, extents=(1.0,), cells=(8,)), sv.SolverConfig(t_end=0.05))
-assert sv._helpers
+assert sv._helper[0] == os.getpid()
 sv.threading = None
 os.environ["KSLAB_WORKERS"] = "2"
 run_sweep(parse_config(open(sys.argv[1]).read()), "d1", {values!r})
