@@ -255,7 +255,8 @@ def _line_inverses(n: int, thetas: Tuple[float, ...]) -> np.ndarray:
 def _inverses(coef, dt, grid: Grid, points: int) -> List[np.ndarray]:
     """Per axis, the line-inverse stack of P points for coef and dt, numbers
     or per-point columns; [] if no point diffuses."""
-    rates = np.broadcast_to(np.ravel(dt * coef), (points,)).tolist()
+    rate = dt * coef
+    rates = rate.ravel().tolist() if np.ndim(rate) else [rate] * points
     if not any(r > 0.0 for r in rates):
         return []
     return [_line_inverses(n, tuple(r / h ** 2 for r in rates))
