@@ -32,20 +32,28 @@ __all__ = [
 ]
 
 
-def face_gradient(v: np.ndarray, grid: Grid, axis: int, out=None) -> np.ndarray:
+def face_gradient(v: np.ndarray, grid: Grid, axis: int, out=None, planes=None) -> np.ndarray:
     """Face difference quotients of v along one grid axis (of the last
     grid.dim axes of v, which may stack points along a leading axis), shaped
     like v: entry i along the axis is (v_{i+1} - v_i) / h, the quotient
     across the face between cells i and i + 1, and the last entry, a
     boundary face, is 0 (no flux).  Face i then sits at cell i's index, so
     the difference is one pass over the flat array, shifted by the axis
-    stride; into out (contiguous, shaped like v) if given."""
-    lead = v.ndim - grid.dim
+    stride; into out (contiguous, shaped like v) if given.
+
+    planes = (a, b) takes the faces of the stack's planes a to b - 1 only
+    (cells at one index of the first grid axis, point after point), inside
+    one point or whole points, into out shaped (points, planes per point,
+    *grid.cells[1:]), with the operations of the whole stack: a large step's
+    two threads take one range each (solver._rate_u)."""
     g = np.empty(v.shape) if out is None else out
+    lead, size = g.ndim - grid.dim, math.prod(grid.cells[1:])
+    a, b = planes or (0, v.size // size)
     stride = math.prod(grid.cells[axis + 1:])
-    flat = v.reshape(-1)
-    np.subtract(flat[stride:], flat[:-stride], out=g.reshape(-1)[:-stride])
-    g[(slice(None),) * (lead + axis) + (-1,)] = 0.0  # across lines and points: not a face
+    flat, lo, hi = v.reshape(-1), a * size, min(b * size, v.size - stride)
+    np.subtract(flat[lo + stride:hi + stride], flat[lo:hi], out=g.reshape(-1)[:hi - lo])
+    if axis or b % grid.cells[0] == 0:  # across lines and points: not a face
+        g[(slice(None),) * (lead + axis) + (-1,)] = 0.0
     g /= grid.spacing[axis]
     return g
 

@@ -22,9 +22,14 @@ stacks of two slices of all its points fit in _BATCH_ELEMENTS doubles,
 run_batch buffers its diagnostics samples and takes them in one call per
 buffer; otherwise it samples at once in the workspace's two scratch stacks.
 
-On stacks of at least _PARALLEL_ELEMENTS doubles, step advances v on a
-persistent helper thread while the caller advances u, with the same bytes;
-on one CPU and in KSLAB_WORKERS workers it stays serial.
+On stacks of at least _PARALLEL_ELEMENTS doubles, a step runs in two
+phases over the caller's thread and one persistent helper thread, with the
+serial step's bytes.  Before dt (_rate_u), the caller takes the lower half
+of the stack's planes (cells at one index of the first axis, point after
+point; cut between points if P >= 2) and the helper the upper half, and
+recomputes the fluxes of the plane below it; after dt the caller advances u
+and the helper v.  On one CPU, in KSLAB_WORKERS workers and on smaller
+stacks, step makes the same calls on its own thread, over the whole stack.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -158,7 +163,8 @@ def compute_dt(
     source: Sequence[SourceFunction],
     cfg: SolverConfig,
     grid: Grid,
-    face_extremes: Sequence[Sequence[Tuple[float, float]]],
+    face_extremes: Sequence[Tuple[np.ndarray, np.ndarray]],
+    u_extremes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """CFL-limited step of each stacked point, one entry of params and
     source per point, before the end-of-run cap; an array of one dt per
@@ -171,13 +177,15 @@ def compute_dt(
     update is therefore clamp-free for cfl <= 1/3; above that, a signal
     with steep gradients on both sides of a cell can drive the cell
     negative, and step clamps and counts it.  Implicit diffusion adds no
-    restriction.  face_extremes holds, per axis, the (min, max) of each
-    point's face gradients of v (_extremes); max|dv| and L come from those
-    and from the extremes of u, exactly, so dt is bit-identical.
+    restriction.  face_extremes holds, per axis, the points' minima and
+    maxima of their face gradients of v (_extremes), and u_extremes those of
+    u (computed if not given); max|dv| and L come from them, exactly, so dt
+    is bit-identical.
     """
-    gmax = [[max(hi, -lo) for lo, hi in axis] for axis in face_extremes]
-    dts, extremes = [], _extremes(state.u, len(params))
-    for point, (prm, src, (lo, hi)) in enumerate(zip(params, source, extremes)):
+    gmax = [[max(hi, -lo) for lo, hi in zip(*(x.tolist() for x in axis))]
+            for axis in face_extremes]
+    dts, (lows, highs) = [], (x.tolist() for x in u_extremes or _extremes(state.u, len(params)))
+    for point, (prm, src, lo, hi) in enumerate(zip(params, source, lows, highs)):
         dt = cfg.dt_initial
         abs_chi = abs(prm.chi)
         if abs_chi > 0.0:
@@ -192,33 +200,32 @@ def compute_dt(
     return np.array(dts)
 
 
-def _extremes(a: np.ndarray, count: int) -> List[Tuple[float, float]]:
-    """(min, max) of each of the count points stacked in a."""
+def _extremes(a: np.ndarray, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The minima and the maxima of the count points stacked in a."""
     rows = a.reshape(count, -1)
-    return list(zip(rows.min(axis=1).tolist(), rows.max(axis=1).tolist()))
+    return rows.min(axis=1), rows.max(axis=1)
 
 
-def _subtract_advection(du, u, g, axis: int, chi, grid: Grid, tmp):
-    """du -= the axis term of div(chi u grad v), upwind u on faces, zero
-    boundary flux; g = face_gradient(v, grid, axis).  With w = chi g / h, the
-    flux over h, w * (u_lo if w > 0 else u_hi), is max(w, 0) u_lo + min(w, 0)
-    u_hi: no gather.  On face_gradient's layout u_lo is u itself, and u_hi
-    and the cells downstream of each face are u and du shifted by the axis
-    stride in flat memory, so every pass is contiguous; the zero boundary
-    faces make the shifts across lines and points add zeros.  It overwrites
-    g; tmp is a scratch field.  On stacked fields chi is a number or a
-    per-point column."""
-    du_flat, u_flat, up = du.reshape(-1), u.reshape(-1), tmp.reshape(-1)
+def _upwind_flux(g, u, chi, grid: Grid, axis: int, planes, tmp) -> np.ndarray:
+    """The flat upwind flux over h through the faces g = face_gradient(v,
+    grid, axis, planes=planes), which it overwrites, zero through boundary
+    faces.  With w = chi g / h, the flux w * (u_lo if w > 0 else u_hi) is
+    max(w, 0) u_lo + min(w, 0) u_hi: no gather.  On face_gradient's layout
+    u_lo is u itself and u_hi is u shifted by the axis stride in flat
+    memory, so every pass is contiguous.  chi is a number or the range's
+    per-point column; tmp is a scratch array of g's size."""
+    size = math.prod(grid.cells[1:])
+    lo, hi = planes[0] * size, planes[1] * size
     stride = math.prod(grid.cells[axis + 1:])
     g *= chi / grid.spacing[axis]
-    w = g.reshape(-1)
+    w, up, u = g.reshape(-1), tmp.reshape(-1), u.reshape(-1)
     np.maximum(w, 0.0, out=up)
-    up *= u_flat
+    up *= u[lo:hi]
     np.minimum(w, 0.0, out=w)
-    w[:-stride] *= u_flat[stride:]
+    end = min(hi, u.size - stride)  # the stack's last faces lie on its boundary
+    w[:end - lo] *= u[lo + stride:end + stride]
     w += up
-    du_flat -= w
-    du_flat[stride:] += w[:-stride]
+    return w
 
 
 def _line_inverse(n: int, theta: float) -> np.ndarray:
@@ -322,7 +329,8 @@ def _column(values: Sequence[float], dim: int):
 class _Workspace:
     """Stacks of steps of P points on one grid (face, for one axis's face
     gradient at a time, and tmp, both dead between steps; the (u, v) output
-    pairs), and the points' coefficients as _column values."""
+    pairs), two planes (seam) for the fluxes below a split step's upper
+    range, and the points' coefficients as _column values."""
 
     def __init__(self, params: Sequence[Parameters], sources: Sequence[SourceFunction],
                  grid: Grid, pairs: int):
@@ -330,12 +338,14 @@ class _Workspace:
         self.face = np.empty(shape)
         self.tmp = np.empty(shape)
         self.pairs = [(np.empty(shape), np.empty(shape)) for _ in range(pairs)]
+        self.seam = np.empty((2, 1, 1) + grid.cells[1:])
         for name in ("d1", "d2", "chi", "alpha", "beta"):
             setattr(self, name, _column([getattr(p, name) for p in params], grid.dim))
         self.source = replace(sources[0], **{  # f(u) with each point's kappa and mu
             name: _column([getattr(s, name) for s in sources], grid.dim)
             for name in ("kappa", "mu")
         })
+        self.advect = bool(np.any(self.chi != 0.0))
 
 
 ForcingFn = Callable[[Tuple[np.ndarray, ...], float], np.ndarray]
@@ -363,6 +373,49 @@ def _advance(new, old, forcing, inverses, dt, t, mesh, grid: Grid, tmp):
     return clamped, rows.max(axis=1)
 
 
+def _rate_u(u, v, rate, work: _Workspace, grid: Grid, planes) -> list:
+    """A step's phase before dt on the stack's planes (a, b), as
+    face_gradient takes them: rate = f(u) minus the upwind div(chi u grad v)
+    there, and _extremes of u and of each axis's face gradients of v for
+    each point of the range.  Per axis, cell j gets rate_j <- (rate_j - F_j)
+    + F_{j - stride}, F from _upwind_flux; the zero boundary faces make the
+    shifts across lines and points add zeros.  A range above plane 0
+    recomputes F of the plane below it in work.seam, so two threads can take
+    two ranges and neither writes what the other reads.  The per-point
+    columns are sliced to a range of whole points and numbers in one."""
+    a, b = planes
+    n0, size = grid.cells[0], math.prod(grid.cells[1:])
+    p0, p1 = a // n0, (b - 1) // n0 + 1
+    shape = None if b - a == len(u) * n0 else (p1 - p0, -1) + grid.cells[1:]
+
+    def part(x):  # the range of a stack, shaped (points, planes, *grid.cells[1:])
+        return x if shape is None else x.reshape(-1)[a * size:b * size].reshape(shape)
+
+    def cut(column, p=p0, q=p1):
+        return column if isinstance(column, float) else column[p:q]
+
+    source = work.source
+    if p1 - p0 < len(u):
+        source = replace(source, kappa=cut(source.kappa), mu=cut(source.mu))
+    own, mine = part(rate), part(u)
+    source(mine, out=own)
+    extremes, own = [_extremes(mine, p1 - p0)], own.reshape(-1)
+    for axis in range(grid.dim):  # advection does not depend on dt
+        g = face_gradient(v, grid, axis, part(work.face), planes)
+        extremes.append(_extremes(g, p1 - p0))
+        if work.advect:
+            stride = math.prod(grid.cells[axis + 1:])
+            flux = _upwind_flux(g, u, cut(work.chi), grid, axis, planes, part(work.tmp))
+            own -= flux
+            own[stride:] += flux[:-stride]
+            if a:
+                below = face_gradient(v, grid, axis, work.seam[0], (a - 1, a))
+                q = (a - 1) // n0
+                own[:stride] += _upwind_flux(below, u, cut(work.chi, q, q + 1), grid, axis,
+                                             (a - 1, a), work.seam[1])[-stride:]
+    return extremes
+
+
 def _serve(tasks: "queue.SimpleQueue") -> None:
     """The helper thread: run each task's fn under its caller's errstate and
     put what fn returns or raises on done."""
@@ -374,23 +427,31 @@ def _serve(tasks: "queue.SimpleQueue") -> None:
             done.put(exc)
 
 
-def _on_helper(fn) -> Optional["queue.SimpleQueue"]:
-    """Start fn on this process's helper thread under the caller's errstate;
-    return the queue that gets what fn returns or raises, or None (run fn
-    yourself) on one CPU and in a multiprocessing child."""
+def _split(theirs, mine, alone):
+    """(mine(), theirs()) with theirs on this process's helper thread under
+    the caller's errstate, or (alone(), None) if theirs is None, on one CPU
+    and in a multiprocessing child.  theirs ends before _split returns, also
+    when mine raises, and its exception re-raises here."""
     global _helper
     mp = sys.modules.get("multiprocessing")
     cpus = getattr(os, "sched_getaffinity", lambda pid: [0])(0)  # serial if unknown
-    if _helper[0] != os.getpid() and (len(cpus) < 2 or (mp and mp.parent_process())):
-        return None
+    if not theirs or _helper[0] != os.getpid() and (
+            len(cpus) < 2 or (mp and mp.parent_process())):
+        return alone(), None
     import queue  # not at module import: it costs 0.2 MiB in every process
     if _helper[0] != os.getpid():  # registered once started: start() may raise
         tasks = queue.SimpleQueue()
         threading.Thread(target=_serve, args=(tasks,), daemon=True).start()
         _helper = (os.getpid(), tasks)
     done = queue.SimpleQueue()
-    _helper[1].put((dict(np.geterr(), call=np.geterrcall()), fn, done))
-    return done
+    _helper[1].put((dict(np.geterr(), call=np.geterrcall()), theirs, done))
+    try:
+        result = mine()
+    finally:
+        other = done.get()
+    if isinstance(other, BaseException):
+        raise other
+    return result, other
 
 
 def step(
@@ -417,14 +478,17 @@ def step(
     u, v = state.u, state.v
     work = work or _Workspace(params, source, grid, pairs=1)
     new_u, new_v = next(pair for pair in work.pairs if pair[0] is not u)
-    work.source(u, out=new_u)
-    advect, face_extremes = np.any(work.chi != 0.0), []
-    for axis in range(grid.dim):  # advection does not depend on dt
-        g = face_gradient(v, grid, axis, work.face)
-        face_extremes.append(_extremes(g, len(u)))
-        if advect:
-            _subtract_advection(new_u, u, g, axis, work.chi, grid, work.tmp)
-    dt_cfl = compute_dt(state, params, source, cfg, grid, face_extremes).tolist()
+    split, planes = u.size >= _PARALLEL_ELEMENTS, len(u) * grid.cells[0]
+    half = len(u) // 2 * grid.cells[0] or planes // 2  # between points if P >= 2
+
+    rate_u = partial(_rate_u, u, v, new_u, work, grid)
+    extremes, upper = _split(split and partial(rate_u, (half, planes)),
+                             partial(rate_u, (0, half)), partial(rate_u, (0, planes)))
+    if upper:  # per point, a min of mins is exact
+        extremes = [(np.concatenate((lo, lo2)).reshape(len(u), -1).min(axis=1),
+                     np.concatenate((hi, hi2)).reshape(len(u), -1).max(axis=1))
+                    for (lo, hi), (lo2, hi2) in zip(extremes, upper)]
+    dt_cfl = compute_dt(state, params, source, cfg, grid, extremes[1:], extremes[0]).tolist()
     collapse = [dt < cfg.dt_min for dt in dt_cfl]
     if all(collapse):
         zeros = np.zeros(len(u))
@@ -444,14 +508,9 @@ def step(
         np.add(new_v, np.multiply(u, work.alpha, out=work.face), out=new_v)
         return _advance(new_v, v, forcing_v, inv_v, dt_column, t, mesh, grid, work.face)
 
-    done = _on_helper(advance_v) if u.size >= _PARALLEL_ELEMENTS else None
-    try:
-        clamped_u, peak_u = _advance(new_u, u, forcing_u, inv_u, dt_column, t, mesh, grid, work.tmp)
-    finally:  # the v half ends before step does, also when the u half raises
-        half_v = None if done is None else done.get()
-    if isinstance(half_v, BaseException):
-        raise half_v
-    clamped_v, peak_v = advance_v() if half_v is None else half_v
+    advance_u = partial(_advance, new_u, u, forcing_u, inv_u, dt_column, t, mesh, grid, work.tmp)
+    (clamped_u, peak_u), half_v = _split(split and advance_v, advance_u, advance_u)
+    clamped_v, peak_v = half_v or advance_v()
     clamped = np.zeros(len(u), dtype=int) + clamped_u + clamped_v
     if any(collapse):
         clamped[collapse] = 0

@@ -21,6 +21,7 @@ from .params import Parameters, validate
 __all__ = [
     "BRANCH_CONVEX",
     "BRANCH_GENERAL",
+    "BRANCH_GENERAL_H",
     "mu0_general",
     "mu1",
     "gamma_rate",
@@ -42,6 +43,7 @@ __all__ = [
 
 BRANCH_CONVEX = "convex-equal-diffusion"
 BRANCH_GENERAL = "general"
+BRANCH_GENERAL_H = "general-h"  # the general branch where h/3 binds
 
 # Strict inequalities pass when margin > REL_MARGIN * scale, non-strict when
 # margin >= -REL_MARGIN * scale; keeps verdicts robust near the threshold.
@@ -161,18 +163,21 @@ def mu0_general(params: Parameters, convex: bool = False) -> Tuple[float, str]:
     attractive chemotaxis, and a convex domain.  Otherwise the general
     branch is n/(sqrt(2n+4)-2) (1/d1 + 2/d2) alpha |chi|, raised for
     n = 4, 5 to h(n, d1, d2)/3 alpha |chi| when that is larger: for d1/d2
-    above 19.86 (n = 4) or 21.22 (n = 5).  There mu0 rises with d1, so it
-    is not monotone in d1, unlike the abstract's claim for mu0.
+    above 19.86 (n = 4) or 21.22 (n = 5), reported as BRANCH_GENERAL_H.
+    There mu0 rises with d1, so it is not monotone in d1, unlike the
+    abstract's claim for mu0.
     """
     validate(params)
     _require_dimension(params.n)
     if convex and params.d1 == params.d2 and params.chi > 0.0:
         value = params.n / (4.0 * params.d1) * params.alpha * params.chi
         return value, BRANCH_CONVEX
-    base = _nonconvex_base(params.n, params.d1, params.d2)
+    base, branch = _nonconvex_base(params.n, params.d1, params.d2), BRANCH_GENERAL
     if params.n > 3:
-        base = max(minimize_h(params.n, params.d1, params.d2).value / 3.0, base)
-    return base * params.alpha * abs(params.chi), BRANCH_GENERAL
+        h = minimize_h(params.n, params.d1, params.d2).value / 3.0
+        if not base > h:
+            base, branch = h, BRANCH_GENERAL_H
+    return base * params.alpha * abs(params.chi), branch
 
 
 def mu1(params: Parameters) -> float:

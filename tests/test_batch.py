@@ -2,7 +2,8 @@
 the trajectory of its own run, whatever the other points do, its deferred
 diagnostics equal samples taken the moment each state exists, and the
 batch's stacked line inverses are built once per theta.  A step that
-advances v on the helper thread gives the serial step's bytes."""
+splits its phase before dt over two ranges of planes, the upper one on the
+helper thread, and advances v there gives the serial step's bytes."""
 
 import collections
 import contextlib
@@ -10,6 +11,7 @@ import dataclasses
 import math
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -195,16 +197,22 @@ def test_batch_equals_solo_runs(problem):
 
 @contextlib.contextmanager
 def threaded(split=True):
-    """Record the thread that advances each field; with split, every step,
-    of any size, splits over the caller's thread and the helper thread, also
-    on one CPU, and the threads switch every microsecond.  Yields the
-    helper's records: one per v half."""
+    """Record the thread that advances each field and the one that takes
+    each range of planes of a step's phase before dt; with split, every
+    step, of any size, splits over the caller's thread and the helper
+    thread, also on one CPU, and the threads switch every microsecond.
+    Yields the helper's records: advance, one per v half, and rate, the
+    planes (a, b) of each range it took."""
     ran = []
-    advance = sv._advance
+    advance, rate = sv._advance, sv._rate_u
 
     def recorded(*args):
-        ran.append(threading.current_thread())
+        ran.append((threading.current_thread(), "advance", None))
         return advance(*args)
+
+    def recorded_rate(*args):
+        ran.append((threading.current_thread(), "rate", args[-1]))
+        return rate(*args)
 
     interval = sys.getswitchinterval()
     with pytest.MonkeyPatch.context() as patch:
@@ -213,23 +221,31 @@ def threaded(split=True):
             patch.setattr(sv.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
             sys.setswitchinterval(1e-6)
         patch.setattr(sv, "_advance", recorded)
-        helper = []
+        patch.setattr(sv, "_rate_u", recorded_rate)
+        helper = types.SimpleNamespace(advance=[], rate=[])
         try:
             yield helper
         finally:
             sys.setswitchinterval(interval)
-        helper += [thread for thread in ran if thread is not threading.main_thread()]
+        for thread, kind, planes in ran:
+            if thread is not threading.main_thread():
+                getattr(helper, kind).append(planes or thread)
 
 
-def assert_split_equals_serial(march):
+def assert_split_equals_serial(march, upper=None):
     """march() gives the same trajectories serially and split over two
-    threads, with every v half on the helper; returns the split ones."""
+    threads, with every v half and the upper range of planes of every
+    step's phase before dt (upper, if given) on the helper; returns the
+    split ones."""
     with threaded(split=False) as helper:
         serial = march()
-    assert not helper
+    assert not helper.advance and not helper.rate
     with threaded() as helper:
         split = march()
-    assert helper or not any(t.steps for t in split)
+    assert helper.advance or not any(t.steps for t in split)
+    assert len(helper.rate) >= len(helper.advance)
+    assert all(a > 0 for a, _ in helper.rate)
+    assert upper is None or set(helper.rate) == {upper}
     for got, want in zip(split, serial):
         assert_same_run(got, want)
     return split
@@ -299,7 +315,8 @@ def test_split_step_error_reaches_the_caller():
             run(state, dataclasses.replace(p, alpha=1e308), source, grid, cfg)
         assert run(state, p, source, grid, cfg).outcome == OUTCOME_COMPLETED
     # 10 steps and the failing one; alpha u overflows before the v field's advance
-    assert len(helper) == 11
+    assert len(helper.advance) == 11
+    assert len(helper.rate) == 12  # the 2 failing first steps and 10
 
 
 def test_split_step_keeps_the_callers_error_callback():
@@ -315,7 +332,7 @@ def test_split_step_keeps_the_callers_error_callback():
         with threaded(split) as helper, np.errstate(
                 all="ignore", over="call", call=lambda kind, flag: calls.append(kind)):
             sv.step(state, [p], [source], SolverConfig(), grid)
-        assert len(helper) == split
+        assert len(helper.advance) == len(helper.rate) == split
     assert heard[True] == heard[False] == ["overflow"]
 
 
@@ -342,7 +359,7 @@ def test_helper_that_cannot_start_is_not_kept(monkeypatch):
             run(state, p, source, grid, cfg)
         assert sv._helper == (0, None)
         assert run(state, p, source, grid, cfg).outcome == OUTCOME_COMPLETED
-    assert len(helper) == 10 and sv._helper[1] is not None
+    assert len(helper.advance) == 10 and sv._helper[1] is not None
     sv._helper[1].put(None)  # ends this test's helper thread
 
 
@@ -366,6 +383,34 @@ def test_split_step_on_a_mixed_d1_batch():
     assert_split_equals_serial(lambda: run_batch(*mixed_d1_batch()))
 
 
+@pytest.mark.parametrize("cells", [(9,), (7, 6), (5, 6, 7)])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_split_rate_takes_the_flux_from_below_its_planes(cells, count):
+    """The helper's range of planes starts inside the point for one point
+    (an odd first axis: plane n0 // 2) and between points for more, with
+    per-point chi of both signs and 0, kappa <= 0 and both forcings.  The
+    split step gives the serial bytes only with the upwind flux of the
+    plane below the helper's range, which it recomputes."""
+    dim, n0 = len(cells), cells[0]
+    grid = Grid(dim=dim, extents=(1.0,) * dim, cells=cells)
+    rng = np.random.default_rng(count)
+    params = [Parameters(d1=1.0, d2=0.5, chi=chi, alpha=1.0, beta=1.0, kappa=kappa,
+                         mu=2.0, n=dim)
+              for chi, kappa in zip([1.5, -2.0, 0.0], [-0.5, 0.0, -1.0])][:count]
+    sources = [SourceFunction.standard_logistic(p.kappa, p.mu) for p in params]
+    states = [State(u=rng.uniform(0.5, 2.0, cells), v=rng.uniform(0.0, 0.1, cells), t=0.0)
+              for _ in params]
+    cfg = SolverConfig(dt_initial=1e-3, t_end=0.01)  # binds: the points step in lockstep
+
+    def forcing(mesh, t):
+        return np.cos(3.0 * mesh[0]) * (1.0 + t)
+
+    split = assert_split_equals_serial(lambda: run_batch(
+        states, params, sources, grid, cfg, forcing_u=forcing, forcing_v=forcing,
+    ), upper=(count // 2 * n0 or n0 // 2, count * n0))
+    assert all(t.steps >= 10 for t in split)
+
+
 def test_stacked_inverses_built_once_per_theta(monkeypatch):
     """16 points with 16 values of d1 hold 17 thetas per step (the d2 one is
     shared, and differs from theirs): more than the stacked-inverse cache has
@@ -384,7 +429,7 @@ def test_stacked_inverses_built_once_per_theta(monkeypatch):
         sv._line_inverses.cache_clear()
         with threaded(split) as helper:
             trajectories = run_batch(*mixed_d1_batch())
-        assert [t.steps for t in trajectories] == [50] * 16 and len(helper) == 50 * split
+        assert [t.steps for t in trajectories] == [50] * 16 and len(helper.advance) == 50 * split
         assert max(builds.values()) == 1
         assert len(builds) <= 2 * 17  # a shortened last step brings its own thetas
 

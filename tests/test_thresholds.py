@@ -10,6 +10,7 @@ from kslab.params import Parameters, validate
 from kslab.thresholds import (
     BRANCH_CONVEX,
     BRANCH_GENERAL,
+    BRANCH_GENERAL_H,
     CoefficientSet3D,
     CoefficientSet45D,
     _grid_compass_min,
@@ -168,6 +169,14 @@ class TestAbstractClaims:
         beyond = [mu0_general(make_params(n=n, d1=r * d2, d2=d2))[0]
                   for r in (ratio + 1.0, 50.0, 1e3)]
         assert beyond[0] < beyond[1] < beyond[2]
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("ratio, branch", [(10.0, BRANCH_GENERAL), (25.0, BRANCH_GENERAL_H)])
+    def test_report_names_the_general_formula_that_binds(self, n, ratio, branch):
+        p = make_params(n=n, d1=ratio, d2=1.0)
+        (value, got), rep = mu0_general(p), report(p)
+        assert got == rep.branch == branch
+        assert (value == base_mu0(n, ratio, 1.0)) == (branch == BRANCH_GENERAL)
 
 
 class TestMinimizeH:
