@@ -39,15 +39,12 @@ def face_gradient(v: np.ndarray, grid: Grid, axis: int, out=None, planes=None) -
     across the face between cells i and i + 1, and the last entry, a
     boundary face, is 0 (no flux).  Face i then sits at cell i's index, so
     the difference is one pass over the flat array, shifted by the axis
-    stride; into out (contiguous, shaped like v) if given.
-
-    planes = (a, b) takes the faces of the stack's planes a to b - 1 only
-    (cells at one index of the first grid axis, point after point), inside
-    one point or whole points, into out shaped (points, planes per point,
-    *grid.cells[1:]), with the operations of the whole stack.  Before dt, a
-    large step's two threads take one range each, the upper one also the
-    plane below it for its upwind fluxes, and a serial step all planes
-    (solver._rate_u); after dt they advance u and v."""
+    stride; into out (contiguous, shaped like v) if given.  planes = (a, b)
+    takes only the stack's planes a to b - 1 (cells at one index of the
+    first grid axis, point after point), inside one point or whole points,
+    into out, shaped (points, planes per point, *grid.cells[1:])."""
+    if planes and out is None:
+        raise ValueError("face_gradient takes planes into out only")
     g = np.empty(v.shape) if out is None else out
     lead, size = g.ndim - grid.dim, math.prod(grid.cells[1:])
     a, b = planes or (0, v.size // size)

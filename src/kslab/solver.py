@@ -22,14 +22,12 @@ stacks of two slices of all its points fit in _BATCH_ELEMENTS doubles,
 run_batch buffers its diagnostics samples and takes them in one call per
 buffer; otherwise it samples at once in the workspace's two scratch stacks.
 
-On stacks of at least _PARALLEL_ELEMENTS doubles, a step runs in two
-phases over the caller's thread and one persistent helper thread, with the
-serial step's bytes.  Before dt (_rate_u), the caller takes the lower half
-of the stack's planes (cells at one index of the first axis, point after
-point; cut between points if P >= 2) and the helper the upper half, and
-recomputes the fluxes of the plane below it; after dt the caller advances u
-and the helper v.  On one CPU, in KSLAB_WORKERS workers and on smaller
-stacks, step makes the same calls on its own thread, over the whole stack.
+On stacks of at least _PARALLEL_ELEMENTS doubles, a step splits over the
+caller's thread and a persistent helper thread, with the serial bytes: the
+helper takes the upper half of the planes before dt (_rate_u; cut between
+points if P >= 2, the fluxes of the plane below recomputed) and v after
+it.  On one CPU, in KSLAB_WORKERS workers and on smaller stacks, step makes
+the same calls alone.
 """
 
 from __future__ import annotations
@@ -158,13 +156,12 @@ def initial_condition(
 
 
 def compute_dt(
-    state: State,
     params: Sequence[Parameters],
     source: Sequence[SourceFunction],
     cfg: SolverConfig,
     grid: Grid,
     face_extremes: Sequence[Tuple[np.ndarray, np.ndarray]],
-    u_extremes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    u_extremes: Tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """CFL-limited step of each stacked point, one entry of params and
     source per point, before the end-of-run cap; an array of one dt per
@@ -179,12 +176,10 @@ def compute_dt(
     negative, and step clamps and counts it.  Implicit diffusion adds no
     restriction.  face_extremes holds, per axis, the points' minima and
     maxima of their face gradients of v (_extremes), and u_extremes those of
-    u (computed if not given); max|dv| and L come from them, exactly, so dt
-    is bit-identical.
+    u; max|dv| and L come from them, exactly, so dt is bit-identical.
     """
-    gmax = [[max(hi, -lo) for lo, hi in zip(*(x.tolist() for x in axis))]
-            for axis in face_extremes]
-    dts, (lows, highs) = [], (x.tolist() for x in u_extremes or _extremes(state.u, len(params)))
+    gmax = [np.maximum(hi, -lo).tolist() for lo, hi in face_extremes]  # NaN in both or neither
+    dts, (lows, highs) = [], (x.tolist() for x in u_extremes)
     for point, (prm, src, lo, hi) in enumerate(zip(params, source, lows, highs)):
         dt = cfg.dt_initial
         abs_chi = abs(prm.chi)
@@ -200,30 +195,27 @@ def compute_dt(
     return np.array(dts)
 
 
-def _extremes(a: np.ndarray, count: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The minima and the maxima of the count points stacked in a."""
-    rows = a.reshape(count, -1)
+def _extremes(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The minima and the maxima of the points stacked in a."""
+    rows = a.reshape(len(a), -1)
     return rows.min(axis=1), rows.max(axis=1)
 
 
-def _upwind_flux(g, u, chi, grid: Grid, axis: int, planes, tmp) -> np.ndarray:
+def _upwind_flux(g, u, chi, grid: Grid, axis: int, tmp) -> np.ndarray:
     """The flat upwind flux over h through the faces g = face_gradient(v,
-    grid, axis, planes=planes), which it overwrites, zero through boundary
-    faces.  With w = chi g / h, the flux w * (u_lo if w > 0 else u_hi) is
-    max(w, 0) u_lo + min(w, 0) u_hi: no gather.  On face_gradient's layout
-    u_lo is u itself and u_hi is u shifted by the axis stride in flat
-    memory, so every pass is contiguous.  chi is a number or the range's
-    per-point column; tmp is a scratch array of g's size."""
-    size = math.prod(grid.cells[1:])
-    lo, hi = planes[0] * size, planes[1] * size
+    grid, axis, ...), which it overwrites, zero through boundary faces; u is
+    the flat stack from g's first cell on.  With w = chi g / h, the flux w *
+    (u_lo if w > 0 else u_hi) is max(w, 0) u_lo + min(w, 0) u_hi: no gather.
+    On face_gradient's layout u_lo is u itself and u_hi is u shifted by the
+    axis stride in flat memory, so every pass is contiguous.  chi is a number
+    or the range's per-point column; tmp is a scratch array of g's size."""
     stride = math.prod(grid.cells[axis + 1:])
     g *= chi / grid.spacing[axis]
-    w, up, u = g.reshape(-1), tmp.reshape(-1), u.reshape(-1)
+    w, up = g.reshape(-1), tmp.reshape(-1)
     np.maximum(w, 0.0, out=up)
-    up *= u[lo:hi]
+    up *= u[:w.size]
     np.minimum(w, 0.0, out=w)
-    end = min(hi, u.size - stride)  # the stack's last faces lie on its boundary
-    w[:end - lo] *= u[lo + stride:end + stride]
+    w[:len(u) - stride] *= u[stride:w.size + stride]  # the stack's last faces: boundary
     w += up
     return w
 
@@ -375,44 +367,38 @@ def _advance(new, old, forcing, inverses, dt, t, mesh, grid: Grid, tmp):
 
 def _rate_u(u, v, rate, work: _Workspace, grid: Grid, planes) -> list:
     """A step's phase before dt on the stack's planes (a, b), as
-    face_gradient takes them: rate = f(u) minus the upwind div(chi u grad v)
-    there, and _extremes of u and of each axis's face gradients of v for
-    each point of the range.  Per axis, cell j gets rate_j <- (rate_j - F_j)
-    + F_{j - stride}, F from _upwind_flux; the zero boundary faces make the
-    shifts across lines and points add zeros.  A range above plane 0
-    recomputes F of the plane below it in work.seam, so two threads can take
-    two ranges and neither writes what the other reads.  The per-point
-    columns are sliced to a range of whole points and numbers in one."""
+    face_gradient takes them: rate = f(u) minus the upwind div(chi u grad v),
+    and the _extremes of u and of each axis's face gradients of v.  Per axis
+    rate_j <- (rate_j - F_j) + F_{j - stride}, F from _upwind_flux; a range
+    above plane 0 recomputes F of the plane below it in work.seam, so that
+    two threads on two ranges write nothing that the other reads."""
     a, b = planes
-    n0, size = grid.cells[0], math.prod(grid.cells[1:])
-    p0, p1 = a // n0, (b - 1) // n0 + 1
-    shape = None if b - a == len(u) * n0 else (p1 - p0, -1) + grid.cells[1:]
+    n0, size, flat = grid.cells[0], math.prod(grid.cells[1:]), u.reshape(-1)
+    shape = None if b - a == len(u) * n0 else (-1, min(b - a, n0)) + grid.cells[1:]
 
     def part(x):  # the range of a stack, shaped (points, planes, *grid.cells[1:])
         return x if shape is None else x.reshape(-1)[a * size:b * size].reshape(shape)
 
-    def cut(column, p=p0, q=p1):
-        return column if isinstance(column, float) else column[p:q]
+    def cut(column, a=a, b=b):  # the column's points of planes a to b - 1
+        return column if isinstance(column, float) else column[a // n0:(b - 1) // n0 + 1]
 
-    source = work.source
-    if p1 - p0 < len(u):
+    own, mine, source = part(rate), part(u), work.source
+    if len(mine) < len(u):
         source = replace(source, kappa=cut(source.kappa), mu=cut(source.mu))
-    own, mine = part(rate), part(u)
     source(mine, out=own)
-    extremes, own = [_extremes(mine, p1 - p0)], own.reshape(-1)
+    extremes, own = [_extremes(mine)], own.reshape(-1)
     for axis in range(grid.dim):  # advection does not depend on dt
         g = face_gradient(v, grid, axis, part(work.face), planes)
-        extremes.append(_extremes(g, p1 - p0))
+        extremes.append(_extremes(g))
         if work.advect:
             stride = math.prod(grid.cells[axis + 1:])
-            flux = _upwind_flux(g, u, cut(work.chi), grid, axis, planes, part(work.tmp))
+            flux = _upwind_flux(g, flat[a * size:], cut(work.chi), grid, axis, part(work.tmp))
             own -= flux
             own[stride:] += flux[:-stride]
             if a:
                 below = face_gradient(v, grid, axis, work.seam[0], (a - 1, a))
-                q = (a - 1) // n0
-                own[:stride] += _upwind_flux(below, u, cut(work.chi, q, q + 1), grid, axis,
-                                             (a - 1, a), work.seam[1])[-stride:]
+                own[:stride] += _upwind_flux(below, flat[(a - 1) * size:], cut(work.chi, a - 1, a),
+                                             grid, axis, work.seam[1])[-stride:]
     return extremes
 
 
@@ -429,14 +415,14 @@ def _serve(tasks: "queue.SimpleQueue") -> None:
 
 def _split(theirs, mine, alone):
     """(mine(), theirs()) with theirs on this process's helper thread under
-    the caller's errstate, or (alone(), None) if theirs is None, on one CPU
+    the caller's errstate, or (alone(), None) without theirs, on one CPU
     and in a multiprocessing child.  theirs ends before _split returns, also
     when mine raises, and its exception re-raises here."""
     global _helper
     mp = sys.modules.get("multiprocessing")
-    cpus = getattr(os, "sched_getaffinity", lambda pid: [0])(0)  # serial if unknown
-    if not theirs or _helper[0] != os.getpid() and (
-            len(cpus) < 2 or (mp and mp.parent_process())):
+    if not theirs or _helper[0] != os.getpid() and (  # serial if the CPUs are unknown
+            len(getattr(os, "sched_getaffinity", lambda pid: [0])(0)) < 2
+            or (mp and mp.parent_process())):
         return alone(), None
     import queue  # not at module import: it costs 0.2 MiB in every process
     if _helper[0] != os.getpid():  # registered once started: start() may raise
@@ -473,14 +459,14 @@ def step(
     A point whose dt collapses reports dt 0 and keeps its input fields in
     state.  run_batch passes its workspace, made for the same points, as
     work, and the result lives in the pair not holding state.u until the
-    step after next; without work the result is in fresh arrays.
+    step after next; without work the result is in fresh arrays.  A split
+    step reports a floating-point error before dt once per thread.
     """
     u, v = state.u, state.v
     work = work or _Workspace(params, source, grid, pairs=1)
     new_u, new_v = next(pair for pair in work.pairs if pair[0] is not u)
     split, planes = u.size >= _PARALLEL_ELEMENTS, len(u) * grid.cells[0]
     half = len(u) // 2 * grid.cells[0] or planes // 2  # between points if P >= 2
-
     rate_u = partial(_rate_u, u, v, new_u, work, grid)
     extremes, upper = _split(split and partial(rate_u, (half, planes)),
                              partial(rate_u, (0, half)), partial(rate_u, (0, planes)))
@@ -488,7 +474,7 @@ def step(
         extremes = [(np.concatenate((lo, lo2)).reshape(len(u), -1).min(axis=1),
                      np.concatenate((hi, hi2)).reshape(len(u), -1).max(axis=1))
                     for (lo, hi), (lo2, hi2) in zip(extremes, upper)]
-    dt_cfl = compute_dt(state, params, source, cfg, grid, extremes[1:], extremes[0]).tolist()
+    dt_cfl = compute_dt(params, source, cfg, grid, extremes[1:], extremes[0]).tolist()
     collapse = [dt < cfg.dt_min for dt in dt_cfl]
     if all(collapse):
         zeros = np.zeros(len(u))

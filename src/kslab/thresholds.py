@@ -163,9 +163,8 @@ def mu0_general(params: Parameters, convex: bool = False) -> Tuple[float, str]:
     attractive chemotaxis, and a convex domain.  Otherwise the general
     branch is n/(sqrt(2n+4)-2) (1/d1 + 2/d2) alpha |chi|, raised for
     n = 4, 5 to h(n, d1, d2)/3 alpha |chi| when that is larger: for d1/d2
-    above 19.86 (n = 4) or 21.22 (n = 5), reported as BRANCH_GENERAL_H.
-    There mu0 rises with d1, so it is not monotone in d1, unlike the
-    abstract's claim for mu0.
+    above 19.86 (n = 4) or 21.22 (n = 5), as BRANCH_GENERAL_H.  There mu0
+    rises with d1, so it is not monotone in d1, unlike the abstract's claim.
     """
     validate(params)
     _require_dimension(params.n)
@@ -173,10 +172,8 @@ def mu0_general(params: Parameters, convex: bool = False) -> Tuple[float, str]:
         value = params.n / (4.0 * params.d1) * params.alpha * params.chi
         return value, BRANCH_CONVEX
     base, branch = _nonconvex_base(params.n, params.d1, params.d2), BRANCH_GENERAL
-    if params.n > 3:
-        h = minimize_h(params.n, params.d1, params.d2).value / 3.0
-        if not base > h:
-            base, branch = h, BRANCH_GENERAL_H
+    if params.n > 3 and not base > (h := minimize_h(params.n, params.d1, params.d2).value / 3):
+        base, branch = h, BRANCH_GENERAL_H
     return base * params.alpha * abs(params.chi), branch
 
 

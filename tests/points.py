@@ -14,7 +14,8 @@ def one_point(state: State) -> State:
     return State(u=state.u[None], v=state.v[None], t=np.array([state.t]))
 
 
-def face_extremes(state: State, grid: Grid):
-    """compute_dt's face_extremes of a stacked state, as step gathers them."""
-    return [_extremes(face_gradient(state.v, grid, axis), len(state.v))
-            for axis in range(grid.dim)]
+def extremes(state: State, grid: Grid):
+    """compute_dt's face_extremes and u_extremes of a stacked state, as step
+    gathers them."""
+    return ([_extremes(face_gradient(state.v, grid, axis)) for axis in range(grid.dim)],
+            _extremes(state.u))

@@ -336,6 +336,23 @@ def test_split_step_keeps_the_callers_error_callback():
     assert heard[True] == heard[False] == ["overflow"]
 
 
+def test_split_step_reports_an_error_before_dt_once_per_thread():
+    """f(u) runs as one ufunc call on each thread of a split step, so its
+    overflow reaches the caller's error callback twice, and once serially."""
+    grid = Grid(dim=1, extents=(1.0,), cells=(8,))
+    p = Parameters(d1=1.0, d2=1.0, chi=1.0, alpha=1.0, beta=1.0, kappa=1.0, mu=2.0, n=1)
+    source = SourceFunction.standard_logistic(p.kappa, p.mu)
+    state = State(u=np.full((1, 8), 1e200), v=np.ones((1, 8)), t=np.zeros(1))
+    heard = {}
+    for split in (False, True):
+        calls = heard[split] = []
+        with threaded(split) as helper, np.errstate(
+                all="ignore", over="call", call=lambda kind, flag: calls.append(kind)):
+            sv.step(state, [p], [source], SolverConfig(), grid)
+        assert helper.rate == ([(4, 8)] if split else [])
+    assert heard == {False: ["overflow"], True: ["overflow", "overflow"]}
+
+
 def test_helper_that_cannot_start_is_not_kept(monkeypatch):
     """A helper thread whose start raises fails its step, and the next step
     starts another rather than wait on a queue that no thread serves."""
@@ -409,6 +426,22 @@ def test_split_rate_takes_the_flux_from_below_its_planes(cells, count):
         states, params, sources, grid, cfg, forcing_u=forcing, forcing_v=forcing,
     ), upper=(count // 2 * n0 or n0 // 2, count * n0))
     assert all(t.steps >= 10 for t in split)
+
+
+def test_rate_between_points_adds_the_zero_flux_below_them():
+    """Cut between points, the flux of the plane below the upper range is
+    zero, but adding it turns that range's -0.0 rate (u = 0, kappa < 0)
+    into the +0.0 of the whole stack's rate."""
+    grid = Grid(dim=1, extents=(1.0,), cells=(6,))
+    p = Parameters(d1=1.0, d2=0.5, chi=1.5, alpha=1.0, beta=1.0, kappa=-0.5, mu=2.0, n=1)
+    work = sv._Workspace([p] * 2, [SourceFunction.standard_logistic(p.kappa, p.mu)] * 2, grid, 1)
+    u, v = np.ones((2, 6)), np.linspace(0.0, 1.0, 12).reshape(2, 6) ** 2
+    u[1, 0] = 0.0
+    whole, upper = np.empty((2, 6)), np.empty((2, 6))
+    sv._rate_u(u, v, whole, work, grid, (0, 12))
+    sv._rate_u(u, v, upper, work, grid, (6, 12))
+    assert upper[1].tobytes() == whole[1].tobytes()
+    assert whole[1, 0] == 0.0 and not np.signbit(whole[1, 0])
 
 
 def test_stacked_inverses_built_once_per_theta(monkeypatch):

@@ -10,6 +10,7 @@ from kslab.diagnostics import (
     CSV_COLUMNS,
     DiagnosticsSeries,
     convergence_audit,
+    face_gradient,
     fit_decay,
     grad_magnitude_squared,
     h_monotonicity_check,
@@ -62,6 +63,21 @@ def row(state, grid, params=None, c3=None, c45=None):
 def u_row(u, grid):
     """The row of density u with a constant signal."""
     return row(State(u=u, v=np.zeros(grid.cells), t=0.0), grid)
+
+
+@pytest.mark.parametrize("planes", [(0, 10), (0, 5), (5, 10), (0, 2), (2, 5), (6, 9)])
+def test_face_gradient_on_planes_is_the_whole_stacks_cut(planes):
+    """planes = (a, b) gives the faces of planes a to b - 1 of the stack's
+    face gradient, bit for bit, shaped (points, planes per point, ...)."""
+    grid = Grid(dim=3, extents=(1.0, 2.0, 0.5), cells=(5, 4, 6))
+    v = np.random.default_rng(5).uniform(-1.0, 1.0, (2,) + grid.cells)
+    a, b = planes
+    for axis in range(grid.dim):
+        whole = face_gradient(v, grid, axis).reshape((10,) + grid.cells[1:])[a:b]
+        out = np.empty(((b - a) // 5 or 1, min(b - a, 5)) + grid.cells[1:])
+        assert face_gradient(v, grid, axis, out, planes).tobytes() == whole.tobytes()
+    with pytest.raises(ValueError, match="into out only"):
+        face_gradient(v, grid, 0, planes=planes)
 
 
 class TestLpNorm:

@@ -30,7 +30,7 @@ from kslab.solver import (
     write_snapshot,
 )
 
-from points import face_extremes, one_point
+from points import extremes, one_point
 
 
 def unit_params(**kw):
@@ -307,8 +307,8 @@ class TestAdaptivity:
         )
         cfg = SolverConfig(dt_initial=1.0, t_end=1.0)
         dts = [
-            compute_dt(st, [unit_params(chi=chi, n=1)], [logistic(unit_params())], cfg, g,
-                       face_extremes(st, g))[0]
+            compute_dt([unit_params(chi=chi, n=1)], [logistic(unit_params())], cfg, g,
+                       *extremes(st, g))[0]
             for chi in (0.5, 1.0, 2.0, 4.0, 8.0)
         ]
         assert all(a >= b for a, b in zip(dts, dts[1:]))
@@ -319,7 +319,7 @@ class TestAdaptivity:
         st = one_point(State(u=np.zeros(4), v=np.array([0.125, 0.0, 0.0, 0.0]), t=0.0))
         p = unit_params(chi=5e-324, kappa=0.0, mu=1.0, n=1)
         cfg = SolverConfig(dt_initial=1.0, t_end=10.0)
-        assert compute_dt(st, [p], [logistic(p)], cfg, g, face_extremes(st, g))[0] == 0.5
+        assert compute_dt([p], [logistic(p)], cfg, g, *extremes(st, g))[0] == 0.5
 
     def test_dt_collapse_outcome(self):
         # enormous reaction stiffness forces dt below dt_min
