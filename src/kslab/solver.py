@@ -178,7 +178,7 @@ def compute_dt(
     maxima of their face gradients of v (_extremes), and u_extremes those of
     u; max|dv| and L come from them, exactly, so dt is bit-identical.
     """
-    gmax = [np.maximum(hi, -lo).tolist() for lo, hi in face_extremes]  # NaN in both or neither
+    gmax = [[max(h, -l) for l, h in zip(lo.tolist(), hi.tolist())] for lo, hi in face_extremes]
     dts, (lows, highs) = [], (x.tolist() for x in u_extremes)
     for point, (prm, src, lo, hi) in enumerate(zip(params, source, lows, highs)):
         dt = cfg.dt_initial
@@ -368,10 +368,10 @@ def _advance(new, old, forcing, inverses, dt, t, mesh, grid: Grid, tmp):
 def _rate_u(u, v, rate, work: _Workspace, grid: Grid, planes) -> list:
     """A step's phase before dt on the stack's planes (a, b), as
     face_gradient takes them: rate = f(u) minus the upwind div(chi u grad v),
-    and the _extremes of u and of each axis's face gradients of v.  Per axis
-    rate_j <- (rate_j - F_j) + F_{j - stride}, F from _upwind_flux; a range
-    above plane 0 recomputes F of the plane below it in work.seam, so that
-    two threads on two ranges write nothing that the other reads."""
+    and the per-point _extremes of u and of each axis's face gradients of v.
+    Per axis rate_j <- (rate_j - F_j) + F_{j - stride}, F from _upwind_flux;
+    a range above plane 0 recomputes F of the plane below it in work.seam,
+    so that two threads on two ranges write nothing that the other reads."""
     a, b = planes
     n0, size, flat = grid.cells[0], math.prod(grid.cells[1:]), u.reshape(-1)
     shape = None if b - a == len(u) * n0 else (-1, min(b - a, n0)) + grid.cells[1:]

@@ -172,8 +172,10 @@ def mu0_general(params: Parameters, convex: bool = False) -> Tuple[float, str]:
         value = params.n / (4.0 * params.d1) * params.alpha * params.chi
         return value, BRANCH_CONVEX
     base, branch = _nonconvex_base(params.n, params.d1, params.d2), BRANCH_GENERAL
-    if params.n > 3 and not base > (h := minimize_h(params.n, params.d1, params.d2).value / 3):
-        base, branch = h, BRANCH_GENERAL_H
+    if params.n > 3:
+        h = minimize_h(params.n, params.d1, params.d2).value / 3.0
+        if not base > h:
+            base, branch = h, BRANCH_GENERAL_H
     return base * params.alpha * abs(params.chi), branch
 
 
