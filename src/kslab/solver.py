@@ -22,12 +22,10 @@ stacks of two slices of all its points fit in _BATCH_ELEMENTS doubles,
 run_batch buffers its diagnostics samples and takes them in one call per
 buffer; otherwise it samples at once in the workspace's two scratch stacks.
 
-On stacks of at least _PARALLEL_ELEMENTS doubles, a step splits over the
-caller's thread and a persistent helper thread, with the serial bytes: the
-helper takes the upper half of the planes before dt (_rate_u; cut between
-points if P >= 2, the fluxes of the plane below recomputed) and v after
-it.  On one CPU, in KSLAB_WORKERS workers and on smaller stacks, step makes
-the same calls alone.
+On stacks of at least _PARALLEL_ELEMENTS doubles, step runs on the caller's
+thread and a persistent helper thread, with the serial bytes: the helper
+takes the upper half of the planes before dt (_rate_u) and v after it.  On
+one CPU, in KSLAB_WORKERS workers and on smaller stacks it runs alone.
 """
 
 from __future__ import annotations
@@ -80,7 +78,8 @@ CLAMP_TOLERANCE = 1e-12
 # buffers diagnostics samples in four stacks of this many doubles in all.
 _BATCH_ELEMENTS = 1 << 16
 
-# Stacks of at least this many doubles split a step (split/serial: 64^3 0.79, 32^3 1.06).
+# Stacks of at least this many doubles split a step (split/serial: 64^3 0.79, 32^3 1.06;
+# splitting the phase before dt too: 41^3 0.99, 256^2 1.01, 2x32^3 0.94, 2x41^3 0.75).
 _PARALLEL_ELEMENTS = 1 << 16
 _helper = (0, None)  # (pid, task queue): a forked child lacks its parent's thread
 
