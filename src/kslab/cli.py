@@ -64,16 +64,10 @@ def _load_config(path: str) -> harness.ExperimentConfig:
 
 def _cmd_thresholds(args) -> int:
     cfg = _load_config(args.config)
-    report = th.report(cfg.params, args.convex or cfg.convex)
-    print(f"mu0: {report.mu0!r}")
-    print(f"branch: {report.branch}")
-    print(f"mu1: {report.mu1!r}")
-    print(f"gamma: {report.gamma!r}" if report.gamma is not None else "gamma: undefined")
-    print(
-        f"epsilon0: {report.epsilon0!r}"
-        if report.epsilon0 is not None
-        else "epsilon0: undefined"
-    )
+    lines = {}  # report.txt's threshold lines
+    harness._report_thresholds(lines, th.report(cfg.params, args.convex or cfg.convex))
+    for key, value in lines.items():
+        print(f"{key}: {value}")
     return EXIT_PASS
 
 

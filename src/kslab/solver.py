@@ -22,10 +22,12 @@ stacks of two slices of all its points fit in _BATCH_ELEMENTS doubles,
 run_batch buffers its diagnostics samples and takes them in one call per
 buffer; otherwise it samples at once in the workspace's two scratch stacks.
 
-On stacks of at least _PARALLEL_ELEMENTS doubles, step runs on the caller's
-thread and a persistent helper thread, with the serial bytes: the helper
-takes the upper half of the planes before dt (_rate_u) and v after it.  On
-one CPU, in KSLAB_WORKERS workers and on smaller stacks it runs alone.
+A one-point stack of at least _PARALLEL_ELEMENTS doubles steps on the
+caller's thread and a persistent helper thread, with the serial bytes: the
+helper takes the upper half of the planes before dt (_rate_u) and v after
+it.  On one CPU, in KSLAB_WORKERS workers and on smaller grids it runs
+alone, as do stacks of several points: sweeps batch points only within
+_BATCH_ELEMENTS = _PARALLEL_ELEMENTS doubles, so none reaches the split.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .diagnostics import DiagnosticsSeries, face_gradient
+from .diagnostics import DiagnosticsSeries
 from .params import Grid, Parameters, SourceFunction, State
 from .thresholds import CoefficientSet3D, CoefficientSet45D
 
@@ -78,8 +80,8 @@ CLAMP_TOLERANCE = 1e-12
 # buffers diagnostics samples in four stacks of this many doubles in all.
 _BATCH_ELEMENTS = 1 << 16
 
-# Stacks of at least this many doubles split a step (split/serial: 64^3 0.79, 32^3 1.06;
-# splitting the phase before dt too: 41^3 0.99, 256^2 1.01, 2x32^3 0.94, 2x41^3 0.75).
+# One-point stacks of at least this many doubles split a step (split/serial: 64^3 0.79,
+# 32^3 1.06; splitting the phase before dt too: 41^3 0.99, 256^2 1.01, 64^3 0.75).
 _PARALLEL_ELEMENTS = 1 << 16
 _helper = (0, None)  # (pid, task queue): a forked child lacks its parent's thread
 
@@ -200,14 +202,33 @@ def _extremes(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return rows.min(axis=1), rows.max(axis=1)
 
 
+def _face_gradient(v: np.ndarray, grid: Grid, axis: int, out, planes) -> np.ndarray:
+    """Face difference quotients along one grid axis of the stack v's planes
+    a to b - 1, (a, b) = planes (cells at one index of the first grid axis,
+    point after point; inside one point or whole points), into out, shaped
+    (points, planes per point, *grid.cells[1:]) and contiguous.  Entry i
+    along the axis is (v_{i+1} - v_i) / h, the quotient across the face
+    between cells i and i + 1, and the last entry, a boundary face, is 0 (no
+    flux).  Face i then sits at cell i's index, so the difference is one
+    pass over the flat array, shifted by the axis stride."""
+    lead, size, (a, b) = out.ndim - grid.dim, math.prod(grid.cells[1:]), planes
+    stride = math.prod(grid.cells[axis + 1:])
+    flat, lo, hi = v.reshape(-1), a * size, min(b * size, v.size - stride)
+    np.subtract(flat[lo + stride:hi + stride], flat[lo:hi], out=out.reshape(-1)[:hi - lo])
+    if axis or b % grid.cells[0] == 0:  # across lines and points: not a face
+        out[(slice(None),) * (lead + axis) + (-1,)] = 0.0
+    out /= grid.spacing[axis]
+    return out
+
+
 def _upwind_flux(g, u, chi, grid: Grid, axis: int, tmp) -> np.ndarray:
-    """The flat upwind flux over h through the faces g = face_gradient(v,
+    """The flat upwind flux over h through the faces g = _face_gradient(v,
     grid, axis, ...), which it overwrites, zero through boundary faces; u is
     the flat stack from g's first cell on.  With w = chi g / h, the flux w *
     (u_lo if w > 0 else u_hi) is max(w, 0) u_lo + min(w, 0) u_hi: no gather.
-    On face_gradient's layout u_lo is u itself and u_hi is u shifted by the
+    On _face_gradient's layout u_lo is u itself and u_hi is u shifted by the
     axis stride in flat memory, so every pass is contiguous.  chi is a number
-    or the range's per-point column; tmp is a scratch array of g's size."""
+    or the stack's per-point column; tmp is a scratch array of g's size."""
     stride = math.prod(grid.cells[axis + 1:])
     g *= chi / grid.spacing[axis]
     w, up = g.reshape(-1), tmp.reshape(-1)
@@ -355,48 +376,36 @@ def _advance(new, old, forcing, inverses, dt, t, mesh, grid: Grid, tmp):
     low = rows.min(axis=1)  # NaN: the point's clamps are still counted
     clamped = 0 if (low >= -CLAMP_TOLERANCE).all() else np.count_nonzero(
         rows < -CLAMP_TOLERANCE, axis=1)
-    negative = low < 0.0  # not at a NaN: such a point keeps its values, as alone
-    if negative.all():
-        np.maximum(new, 0.0, out=new)
-    else:
-        for row in np.flatnonzero(negative):
-            np.maximum(new[row], 0.0, out=new[row])
+    for row in np.flatnonzero(low < 0.0):  # not at a NaN: such a point keeps its values
+        np.maximum(new[row], 0.0, out=new[row])
     return clamped, rows.max(axis=1)
 
 
 def _rate_u(u, v, rate, work: _Workspace, grid: Grid, planes) -> list:
-    """A step's phase before dt on the stack's planes (a, b), as
-    face_gradient takes them: rate = f(u) minus the upwind div(chi u grad v),
-    and the per-point _extremes of u and of each axis's face gradients of v.
-    Per axis rate_j <- (rate_j - F_j) + F_{j - stride}, F from _upwind_flux;
-    a range above plane 0 recomputes F of the plane below it in work.seam,
-    so that two threads on two ranges write nothing that the other reads."""
+    """A step's phase before dt on the stack's planes x[:, a:b], (a, b) =
+    planes: all of them, (0, P n0), or half of a one-point stack's, whose
+    _column values are numbers.  rate = f(u) minus the upwind div(chi u grad
+    v), and the per-point _extremes of u and of each axis's face gradients of
+    v.  Per axis rate_j <- (rate_j - F_j) + F_{j - stride}, F from
+    _upwind_flux; a range above plane 0 recomputes F of the plane below it in
+    work.seam, so that two threads on two ranges write nothing that the other
+    reads."""
     a, b = planes
-    n0, size, flat = grid.cells[0], math.prod(grid.cells[1:]), u.reshape(-1)
-    shape = None if b - a == len(u) * n0 else (-1, min(b - a, n0)) + grid.cells[1:]
-
-    def part(x):  # the range of a stack, shaped (points, planes, *grid.cells[1:])
-        return x if shape is None else x.reshape(-1)[a * size:b * size].reshape(shape)
-
-    def cut(column, a=a, b=b):  # the column's points of planes a to b - 1
-        return column if isinstance(column, float) else column[a // n0:(b - 1) // n0 + 1]
-
-    own, mine, source = part(rate), part(u), work.source
-    if len(mine) < len(u):
-        source = replace(source, kappa=cut(source.kappa), mu=cut(source.mu))
-    source(mine, out=own)
+    size, flat = math.prod(grid.cells[1:]), u.reshape(-1)
+    own, mine = rate[:, a:b], u[:, a:b]
+    work.source(mine, out=own)
     extremes, own = [_extremes(mine)], own.reshape(-1)
     for axis in range(grid.dim):  # advection does not depend on dt
-        g = face_gradient(v, grid, axis, part(work.face), planes)
+        g = _face_gradient(v, grid, axis, work.face[:, a:b], planes)
         extremes.append(_extremes(g))
         if work.advect:
             stride = math.prod(grid.cells[axis + 1:])
-            flux = _upwind_flux(g, flat[a * size:], cut(work.chi), grid, axis, part(work.tmp))
+            flux = _upwind_flux(g, flat[a * size:], work.chi, grid, axis, work.tmp[:, a:b])
             own -= flux
             own[stride:] += flux[:-stride]
             if a:
-                below = face_gradient(v, grid, axis, work.seam[0], (a - 1, a))
-                own[:stride] += _upwind_flux(below, flat[(a - 1) * size:], cut(work.chi, a - 1, a),
+                below = _face_gradient(v, grid, axis, work.seam[0], (a - 1, a))
+                own[:stride] += _upwind_flux(below, flat[(a - 1) * size:], work.chi,
                                              grid, axis, work.seam[1])[-stride:]
     return extremes
 
@@ -464,14 +473,12 @@ def step(
     u, v = state.u, state.v
     work = work or _Workspace(params, source, grid, pairs=1)
     new_u, new_v = next(pair for pair in work.pairs if pair[0] is not u)
-    split, planes = u.size >= _PARALLEL_ELEMENTS, len(u) * grid.cells[0]
-    half = len(u) // 2 * grid.cells[0] or planes // 2  # between points if P >= 2
+    split, n0 = len(u) == 1 and u.size >= _PARALLEL_ELEMENTS, grid.cells[0]
     rate_u = partial(_rate_u, u, v, new_u, work, grid)
-    extremes, upper = _split(split and partial(rate_u, (half, planes)),
-                             partial(rate_u, (0, half)), partial(rate_u, (0, planes)))
-    if upper:  # per point, a min of mins is exact
-        extremes = [(np.concatenate((lo, lo2)).reshape(len(u), -1).min(axis=1),
-                     np.concatenate((hi, hi2)).reshape(len(u), -1).max(axis=1))
+    extremes, upper = _split(split and partial(rate_u, (n0 // 2, n0)),
+                             partial(rate_u, (0, n0 // 2)), partial(rate_u, (0, len(u) * n0)))
+    if upper:  # a min of mins is exact
+        extremes = [(np.minimum(lo, lo2), np.maximum(hi, hi2))
                     for (lo, hi), (lo2, hi2) in zip(extremes, upper)]
     dt_cfl = compute_dt(params, source, cfg, grid, extremes[1:], extremes[0]).tolist()
     collapse = [dt < cfg.dt_min for dt in dt_cfl]

@@ -4,9 +4,8 @@ is a stack of one."""
 
 import numpy as np
 
-from kslab.diagnostics import face_gradient
 from kslab.params import Grid, State
-from kslab.solver import _extremes
+from kslab.solver import _extremes, _face_gradient
 
 
 def one_point(state: State) -> State:
@@ -17,5 +16,7 @@ def one_point(state: State) -> State:
 def extremes(state: State, grid: Grid):
     """compute_dt's face_extremes and u_extremes of a stacked state, as step
     gathers them."""
-    return ([_extremes(face_gradient(state.v, grid, axis)) for axis in range(grid.dim)],
+    faces, planes = np.empty(state.v.shape), (0, len(state.v) * grid.cells[0])
+    return ([_extremes(_face_gradient(state.v, grid, axis, faces, planes))
+             for axis in range(grid.dim)],
             _extremes(state.u))

@@ -30,8 +30,9 @@ from kslab.solver import SolverConfig
 from test_harness import minimal_cfg
 
 MODULES = ("params", "thresholds", "solver", "diagnostics", "harness", "cli")
-# single-field forms of DiagnosticsSeries.sample's columns
-DIAGNOSTICS_REMOVED = ("lp_norm", "SUPPORTED_P", "functional_z3", "functional_z45", "lyapunov_H")
+# single-field forms of DiagnosticsSeries.sample's columns, and the solver's face gradient
+DIAGNOSTICS_REMOVED = ("lp_norm", "SUPPORTED_P", "functional_z3", "functional_z45", "lyapunov_H",
+                       "face_gradient")
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -1,9 +1,10 @@
 """run_batch against solo runs: every point of a lockstep batch gets exactly
 the trajectory of its own run, whatever the other points do, its deferred
 diagnostics equal samples taken the moment each state exists, and the
-batch's stacked line inverses are built once per theta.  A step that
-splits its phase before dt over two ranges of planes, the upper one on the
-helper thread, and advances v there gives the serial step's bytes."""
+batch's stacked line inverses are built once per theta.  A one-point step
+that splits its phase before dt over two ranges of planes, the upper one on
+the helper thread, and advances v there gives the serial step's bytes; a
+stack of several points steps serially."""
 
 import collections
 import contextlib
@@ -199,8 +200,9 @@ def test_batch_equals_solo_runs(problem):
 def threaded(split=True):
     """Record the thread that advances each field and the one that takes
     each range of planes of a step's phase before dt; with split, every
-    step, of any size, splits over the caller's thread and the helper
-    thread, also on one CPU, and the threads switch every microsecond.
+    step of a one-point stack, of any size, splits over the caller's thread
+    and the helper thread, also on one CPU, and the threads switch every
+    microsecond.
     Yields the helper's records: advance, one per v half, and rate, the
     planes (a, b) of each range it took."""
     ran = []
@@ -232,20 +234,22 @@ def threaded(split=True):
                 getattr(helper, kind).append(planes or thread)
 
 
-def assert_split_equals_serial(march, upper=None):
-    """march() gives the same trajectories serially and split over two
-    threads, with every v half and the upper range of planes of every
-    step's phase before dt (upper, if given) on the helper; returns the
-    split ones."""
+def assert_split_equals_serial(march, upper):
+    """march() gives the same trajectories serially and under threaded(),
+    with every v half and the upper range of planes of every step's phase
+    before dt, upper, on the helper; upper None: no work runs there (stacks
+    of several points).  Returns the threaded ones."""
     with threaded(split=False) as helper:
         serial = march()
     assert not helper.advance and not helper.rate
     with threaded() as helper:
         split = march()
-    assert helper.advance or not any(t.steps for t in split)
-    assert len(helper.rate) >= len(helper.advance)
-    assert all(a > 0 for a, _ in helper.rate)
-    assert upper is None or set(helper.rate) == {upper}
+    if upper is None:
+        assert not helper.advance and not helper.rate
+    else:
+        assert helper.advance or not any(t.steps for t in split)
+        assert len(helper.rate) >= len(helper.advance)
+        assert set(helper.rate) == {upper}
     for got, want in zip(split, serial):
         assert_same_run(got, want)
     return split
@@ -256,11 +260,10 @@ def assert_split_equals_serial(march, upper=None):
 @settings(max_examples=30, deadline=None)
 def test_split_step_equals_serial_step(problem):
     grid, points, cfg, forcing = problem
-    roles, states, params, sets, sources = zip(*points)
-    assert_split_equals_serial(lambda: run_batch(
-        states, params, sources, grid, cfg, [c3 for c3, _ in sets],
-        [c45 for _, c45 in sets], forcing_u=forcing, forcing_v=forcing,
-    ))
+    assert_split_equals_serial(lambda: [
+        run(state, p, source, grid, cfg, c3, c45, forcing_u=forcing, forcing_v=forcing)
+        for _, state, p, (c3, c45), source in points
+    ], upper=(grid.cells[0] // 2, grid.cells[0]))
 
 
 def test_split_step_keeps_the_manufactured_forcings():
@@ -272,13 +275,14 @@ def test_split_step_keeps_the_manufactured_forcings():
     cfg = SolverConfig(dt_initial=1e-3, t_end=0.05)
     assert_split_equals_serial(lambda: [
         run(state, p, source, grid, cfg, forcing_u=forcing_u, forcing_v=forcing_v)
-    ])
+    ], upper=(32, 64))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing point
 def test_split_step_keeps_clamps_nans_and_collapses():
     """At cfl 1 a checkerboard signal clamps u; alpha u overflows the v half
-    of one point; one point's dt collapses and one blows up."""
+    of one point; one point's dt collapses and one blows up.  Each marches
+    alone."""
     grid = Grid(dim=2, extents=(1.0, 1.0), cells=(32, 32))
     base = Parameters(d1=1.0, d2=0.5, chi=2.0, alpha=1.0, beta=1.0, kappa=1.0, mu=2.0, n=2)
     roles = ["plain", "nonfinite", "collapse", "blowup"]
@@ -290,7 +294,9 @@ def test_split_step_keeps_clamps_nans_and_collapses():
     sources = [SourceFunction.standard_logistic(p.kappa, p.mu) for p in params]
     cfg = SolverConfig(dt_initial=1e-3, dt_min=1e-5, t_end=0.05, cfl_safety=1.0,
                        blowup_linf_threshold=BLOWUP)
-    split = assert_split_equals_serial(lambda: run_batch(states, params, sources, grid, cfg))
+    split = assert_split_equals_serial(lambda: [
+        run(state, p, source, grid, cfg) for state, p, source in zip(states, params, sources)
+    ], upper=(16, 32))
     assert [t.outcome for t in split] == [OUTCOME_COMPLETED] + [
         EXPECTED[role] for role in roles[1:]]
     assert split[0].clamp_total > 0
@@ -396,18 +402,14 @@ def mixed_d1_batch():
     return [state] * 16, params, [source] * 16, grid, cfg
 
 
-def test_split_step_on_a_mixed_d1_batch():
-    assert_split_equals_serial(lambda: run_batch(*mixed_d1_batch()))
-
-
 @pytest.mark.parametrize("cells", [(9,), (7, 6), (5, 6, 7)])
-@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("count", [1, 2])
 def test_split_rate_takes_the_flux_from_below_its_planes(cells, count):
-    """The helper's range of planes starts inside the point for one point
-    (an odd first axis: plane n0 // 2) and between points for more, with
-    per-point chi of both signs and 0, kappa <= 0 and both forcings.  The
-    split step gives the serial bytes only with the upwind flux of the
-    plane below the helper's range, which it recomputes."""
+    """The helper's range of planes of one point starts inside it (an odd
+    first axis: plane n0 // 2), with kappa < 0 and both forcings.  The split
+    step gives the serial bytes only with the upwind flux of the plane below
+    the helper's range, which it recomputes.  A stack of two points, with
+    chi of both signs, steps serially: nothing runs on the helper."""
     dim, n0 = len(cells), cells[0]
     grid = Grid(dim=dim, extents=(1.0,) * dim, cells=cells)
     rng = np.random.default_rng(count)
@@ -424,31 +426,15 @@ def test_split_rate_takes_the_flux_from_below_its_planes(cells, count):
 
     split = assert_split_equals_serial(lambda: run_batch(
         states, params, sources, grid, cfg, forcing_u=forcing, forcing_v=forcing,
-    ), upper=(count // 2 * n0 or n0 // 2, count * n0))
+    ), upper=(n0 // 2, n0) if count == 1 else None)
     assert all(t.steps >= 10 for t in split)
-
-
-def test_rate_between_points_adds_the_zero_flux_below_them():
-    """Cut between points, the flux of the plane below the upper range is
-    zero, but adding it turns that range's -0.0 rate (u = 0, kappa < 0)
-    into the +0.0 of the whole stack's rate."""
-    grid = Grid(dim=1, extents=(1.0,), cells=(6,))
-    p = Parameters(d1=1.0, d2=0.5, chi=1.5, alpha=1.0, beta=1.0, kappa=-0.5, mu=2.0, n=1)
-    work = sv._Workspace([p] * 2, [SourceFunction.standard_logistic(p.kappa, p.mu)] * 2, grid, 1)
-    u, v = np.ones((2, 6)), np.linspace(0.0, 1.0, 12).reshape(2, 6) ** 2
-    u[1, 0] = 0.0
-    whole, upper = np.empty((2, 6)), np.empty((2, 6))
-    sv._rate_u(u, v, whole, work, grid, (0, 12))
-    sv._rate_u(u, v, upper, work, grid, (6, 12))
-    assert upper[1].tobytes() == whole[1].tobytes()
-    assert whole[1, 0] == 0.0 and not np.signbit(whole[1, 0])
 
 
 def test_stacked_inverses_built_once_per_theta(monkeypatch):
     """16 points with 16 values of d1 hold 17 thetas per step (the d2 one is
     shared, and differs from theirs): more than the stacked-inverse cache has
     entries, but its keys are whole stacks, so over 50 steps every theta is
-    inverted once, also when v steps on the helper thread."""
+    inverted once; under threaded() too, where the stack steps serially."""
     builds = collections.Counter()
     build = sv._line_inverse
 
@@ -462,7 +448,8 @@ def test_stacked_inverses_built_once_per_theta(monkeypatch):
         sv._line_inverses.cache_clear()
         with threaded(split) as helper:
             trajectories = run_batch(*mixed_d1_batch())
-        assert [t.steps for t in trajectories] == [50] * 16 and len(helper.advance) == 50 * split
+        assert [t.steps for t in trajectories] == [50] * 16
+        assert not helper.advance and not helper.rate
         assert max(builds.values()) == 1
         assert len(builds) <= 2 * 17  # a shortened last step brings its own thetas
 

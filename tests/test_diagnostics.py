@@ -10,13 +10,13 @@ from kslab.diagnostics import (
     CSV_COLUMNS,
     DiagnosticsSeries,
     convergence_audit,
-    face_gradient,
     fit_decay,
     grad_magnitude_squared,
     h_monotonicity_check,
     mass_bound_check,
 )
 from kslab.params import Grid, Parameters, SourceFunction, State, validate
+from kslab.solver import _face_gradient
 from kslab.thresholds import (
     CoefficientSet3D,
     CoefficientSet45D,
@@ -67,17 +67,17 @@ def u_row(u, grid):
 
 @pytest.mark.parametrize("planes", [(0, 10), (0, 5), (5, 10), (0, 2), (2, 5), (6, 9)])
 def test_face_gradient_on_planes_is_the_whole_stacks_cut(planes):
-    """planes = (a, b) gives the faces of planes a to b - 1 of the stack's
-    face gradient, bit for bit, shaped (points, planes per point, ...)."""
+    """The solver's _face_gradient: planes = (a, b) gives the faces of planes
+    a to b - 1 of the stack's face gradient, bit for bit, shaped (points,
+    planes per point, ...)."""
     grid = Grid(dim=3, extents=(1.0, 2.0, 0.5), cells=(5, 4, 6))
     v = np.random.default_rng(5).uniform(-1.0, 1.0, (2,) + grid.cells)
     a, b = planes
     for axis in range(grid.dim):
-        whole = face_gradient(v, grid, axis).reshape((10,) + grid.cells[1:])[a:b]
+        whole = _face_gradient(v, grid, axis, np.empty(v.shape), (0, 10))
+        whole = whole.reshape((10,) + grid.cells[1:])
         out = np.empty(((b - a) // 5 or 1, min(b - a, 5)) + grid.cells[1:])
-        assert face_gradient(v, grid, axis, out, planes).tobytes() == whole.tobytes()
-    with pytest.raises(ValueError, match="into out only"):
-        face_gradient(v, grid, 0, planes=planes)
+        assert _face_gradient(v, grid, axis, out, planes).tobytes() == whole[a:b].tobytes()
 
 
 class TestLpNorm:

@@ -403,6 +403,27 @@ class TestSweep:
         with pytest.raises(ConfigError, match="not a parameter field"):
             run_sweep(self._base(tmp_path), "zeta", (1.0,))
 
+    @pytest.mark.parametrize("cells, batches", [(16, [8]), (32, [1] * 4)])
+    def test_no_stack_of_several_points_reaches_the_split(
+            self, tmp_path, monkeypatch, cells, batches):
+        """solver.step splits only one-point stacks, as no sweep batches
+        several points into a stack of _PARALLEL_ELEMENTS cells or more: 8
+        points of 16^3 march as one stack, and 4 points of 32^3 one by one."""
+        monkeypatch.delenv("KSLAB_WORKERS", raising=False)
+        stacks, march = [], sv.run_batch
+
+        def recorded(states0, params, sources, grid, *args):
+            stacks.append((len(states0), math.prod(grid.cells)))
+            return march(states0, params, sources, grid, *args)
+
+        monkeypatch.setattr(sv, "run_batch", recorded)
+        base = parse_config(minimal_cfg(
+            tmp_path, cells=f"{cells} {cells} {cells}", dt_initial="0.001", t_end="0.002"))
+        rows = run_sweep(base, "d1", tuple(1.0 - 0.1 * k for k in range(sum(batches))))
+        assert not any(row["error"] for row in rows)
+        assert all(points * size < sv._PARALLEL_ELEMENTS for points, size in stacks if points > 1)
+        assert [points for points, _ in stacks] == batches
+
     def test_blowup_recorded_per_row_not_fatal(self, tmp_path):
         import dataclasses
         base = self._base(tmp_path)
