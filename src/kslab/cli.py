@@ -83,13 +83,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     try:
-        values = tuple(
-            float(v) for v in args.values.replace(",", " ").split()
-        )
-    except ValueError:
-        raise harness.ConfigError(f"bad --values list: {args.values!r}")
-    if not values:
-        raise harness.ConfigError("--values list is empty")
+        values = harness._numbers(args.values)
+    except ValueError as exc:
+        raise harness.ConfigError(f"--values: {exc}")
     rows = harness.run_sweep(cfg, args.axis, values)
     failures = sum(1 for r in rows if r["error"])
     print(f"points: {len(rows)}  failures: {failures}")

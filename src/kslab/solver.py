@@ -11,16 +11,18 @@ point axis, shape (P, *grid.cells), and one point is a stack of one.  Every
 Parameters or source field that differs by point is a (P, 1, ..., 1) column
 (_column).  Each point keeps its own dt, t and line inverses, and each of
 its values comes from the same floating-point operations as in a run of that
-point alone, so a batch reproduces solo runs bit for bit.  run_batch marches
-a batch in lockstep and run is its one-point call.  A step streams the grid
-axes (advection does not depend on dt): each axis's face gradient of v, in
-one workspace stack, gives its extremes to the dt budget and its upwind flux
-to f(u).  A workspace also holds a scratch stack and output (u, v) pairs:
-run_batch keeps one with two pairs that alternate, so a warm run holds six
-full-grid stacks and allocates none; step alone stays pure.  Where four
-stacks of two slices of all its points fit in _BATCH_ELEMENTS doubles,
-run_batch buffers its diagnostics samples and takes them in one call per
-buffer; otherwise it samples at once in the workspace's two scratch stacks.
+point alone, so a batch reproduces solo runs bit for bit.  step only
+advances; run_batch marches a batch in lockstep and alone decides, after
+each step, which points stop and which rows it samples; run is its one-point
+call.  A step streams the grid axes (advection does not depend on dt): each
+axis's face gradient of v, in one workspace stack, gives its extremes to the
+dt budget and its upwind flux to f(u).  A workspace also holds a scratch
+stack and output (u, v) pairs: run_batch keeps one with two pairs that
+alternate, so a warm run holds six full-grid stacks and allocates none; step
+alone stays pure.  Where four stacks of two slices of all its points fit in
+_BATCH_ELEMENTS doubles, run_batch buffers its diagnostics samples and takes
+them in one call per buffer; otherwise it samples at once in the workspace's
+two scratch stacks.
 
 A one-point stack of at least _PARALLEL_ELEMENTS doubles steps on the
 caller's thread and a persistent helper thread, with the serial bytes: the
@@ -319,13 +321,13 @@ def _implicit_diffusion(f: np.ndarray, inverses, grid: Grid, tmp) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StepInfo:
-    """One step's outcome, one array entry per point: the dt taken (0 on a
-    collapse), the cells clamped, whether dt collapsed, and peaks, the max
-    of u and of v after the clamp."""
+    """One step's outcome, one array entry per point: the CFL dt of
+    compute_dt, before the t_end cap (below dt_min: a collapse, which
+    run_batch attributes), the cells clamped, and peaks, the max of u and of
+    v after the clamp."""
 
     dt: np.ndarray
     clamped: np.ndarray
-    dt_collapse: np.ndarray
     peaks: Tuple[np.ndarray, np.ndarray]
 
 
@@ -464,8 +466,9 @@ def step(
     array t) one adaptive step, with one entry of params and source per
     point; the homogeneous equilibrium is an exact fixed point of the update.
 
-    A point whose dt collapses reports dt 0 and keeps its input fields in
-    state.  run_batch passes its workspace, made for the same points, as
+    Every point advances by its CFL dt capped at t_end - t (uncapped at or
+    past t_end), whatever dt is; whether a point stops is run_batch's
+    decision.  run_batch passes its workspace, made for the same points, as
     work, and the result lives in the pair not holding state.u until the
     step after next; without work the result is in fresh arrays.  A split
     step reports a floating-point error before dt once per thread.
@@ -480,16 +483,10 @@ def step(
     if upper:  # a min of mins is exact
         extremes = [(np.minimum(lo, lo2), np.maximum(hi, hi2))
                     for (lo, hi), (lo2, hi2) in zip(extremes, upper)]
-    dt_cfl = compute_dt(params, source, cfg, grid, extremes[1:], extremes[0]).tolist()
-    collapse = [dt < cfg.dt_min for dt in dt_cfl]
-    if all(collapse):
-        zeros = np.zeros(len(u))
-        return state, StepInfo(dt=zeros, clamped=zeros.astype(int),
-                               dt_collapse=np.array(collapse), peaks=(zeros, zeros))
+    dt_cfl = compute_dt(params, source, cfg, grid, extremes[1:], extremes[0])
     t = state.t.tolist()
-    dt = [
-        min(d, cfg.t_end - s) if cfg.t_end - s > 0.0 else d for d, s in zip(dt_cfl, t)
-    ]
+    dt = [min(d, cfg.t_end - s) if cfg.t_end - s > 0.0 else d
+          for d, s in zip(dt_cfl.tolist(), t)]
     dt_column = _column(dt, grid.dim)
     if mesh is None and (forcing_u or forcing_v):
         mesh = grid.meshgrid()
@@ -503,11 +500,7 @@ def step(
     advance_u = partial(_advance, new_u, u, forcing_u, inv_u, dt_column, t, mesh, grid, work.tmp)
     (clamped_u, peak_u), half_v = _split(split and advance_v, advance_u, advance_u)
     clamped_v, peak_v = half_v or advance_v()
-    clamped = np.zeros(len(u), dtype=int) + clamped_u + clamped_v
-    if any(collapse):
-        clamped[collapse] = 0
-        dt = [0.0 if c else d for c, d in zip(collapse, dt)]
-    info = StepInfo(dt=np.array(dt), clamped=clamped, dt_collapse=np.array(collapse),
+    info = StepInfo(dt=dt_cfl, clamped=np.zeros(len(u), dtype=int) + clamped_u + clamped_v,
                     peaks=(peak_u, peak_v))
     return State(u=new_u, v=new_v, t=np.array([s + d for s, d in zip(t, dt)])), info
 
@@ -559,9 +552,13 @@ def run_batch(
     forcing_v: Optional[ForcingFn] = None,
 ) -> List[Trajectory]:
     """March every point i, (states0[i], params[i], sources[i]) with
-    coefficient sets coeffs3[i] and coeffs45[i] (None: no set), to t_end,
-    blow-up, dt collapse, or a non-finite u or v, sampling diagnostics every
-    snapshot_stride steps and at blow-up; the forcings apply to every point.
+    coefficient sets coeffs3[i] and coeffs45[i] (None: no set), from a t
+    below t_end (else ValueError), sampling diagnostics at the start and
+    every snapshot_stride steps; the forcings apply to every point.  After
+    each step one pass decides, in this order, which points stop: a dt
+    collapse (StepInfo.dt < dt_min; the point keeps its input fields and
+    steps - 1, and adds no clamps), a non-finite u or v (kept, not sampled),
+    blow-up (sampled), and t_end (sampled and kept at t = t_end).
 
     The points step in lockstep on one stack, every active point on every
     iteration with its own dt and t, so each trajectory equals the point's
@@ -569,8 +566,7 @@ def run_batch(
     are compacted into a smaller stack, so a stopped point's inf or NaN never
     enters the others' arithmetic.  A trajectory keeps the initial and final
     states only, so memory does not grow with the run length, and no step
-    writes into states0's arrays; a non-finite final state is kept but not
-    sampled.
+    writes into states0's arrays.
 
     Samples are deferred on small grids: when four stacks of room rows,
     room = _BATCH_ELEMENTS // (4 cells), hold two slices of all the points,
@@ -584,6 +580,8 @@ def run_batch(
     cached for the run are dropped when it ends.
     """
     states0 = [state.check(grid) for state in states0]
+    if not all(state.t < cfg.t_end for state in states0):
+        raise ValueError("every initial t must lie below t_end")
     count = len(states0)
     if not count:
         return []
@@ -624,11 +622,11 @@ def run_batch(
             take(state, points, list(totals), (buffer[2, :rows], buffer[3, :rows]))
             held.clear()
 
-    def sample(state: State, rows: Optional[List[int]] = None) -> None:
-        """Sample the given batch rows (all if None): into the buffer, or at
-        once in the step workspace without one."""
+    def sample(state: State, rows: Sequence[int]) -> None:
+        """Sample the given batch rows, in order: into the buffer, or at once
+        in the step workspace without one."""
         points = batch.points
-        if rows is not None and len(rows) < len(points):
+        if len(rows) < len(points):
             if not rows:
                 return
             state = State(u=state.u[rows], v=state.v[rows], t=state.t[rows])
@@ -674,7 +672,7 @@ def run_batch(
         return batch.state
 
     state = batch.state
-    sample(state)
+    sample(state, range(count))
     peaks = state.u.reshape(count, -1).max(axis=1).tolist()
     state = retire(
         {row: (OUTCOME_BLOWUP, None, 0)
@@ -682,41 +680,31 @@ def run_batch(
         state,
     )
     while batch is not None:
-        if not state.t.max() < end:  # some points reached t_end
-            done = [row for row, t in enumerate(state.t.tolist()) if not t < end]
-            t = state.t.copy()
-            t[done] = cfg.t_end
-            final = State(u=state.u, v=state.v, t=t)
-            sample(final, done)
-            state = retire({row: (OUTCOME_COMPLETED, final, steps) for row in done}, state)
-            if batch is None:
-                break
         new, info = step(
             state, batch.params, batch.sources, cfg, grid, forcing_u, forcing_v, mesh,
             work=batch.work,
         )
         steps += 1
-        clamps[batch.points] += info.clamped
-        peak_u, peak_v = info.peaks
-        ends = {}
-        if info.dt_collapse.any() or not (
-            peak_u.max() <= cfg.blowup_linf_threshold and math.isfinite(peak_v.max())
-        ):
-            flags = zip(info.dt_collapse.tolist(), peak_u.tolist(), peak_v.tolist())
-            for row, (collapsed, pu, pv) in enumerate(flags):
-                if collapsed:
-                    ends[row] = (OUTCOME_DT_COLLAPSE, state, steps - 1)
-                elif not (math.isfinite(pu) and math.isfinite(pv)):
-                    ends[row] = (OUTCOME_NONFINITE, new, steps)
-                elif pu > cfg.blowup_linf_threshold:
-                    ends[row] = (OUTCOME_BLOWUP, new, steps)
-        rows = [row for row, (outcome, _, _) in ends.items() if outcome == OUTCOME_BLOWUP]
-        if steps % cfg.snapshot_stride == 0:
-            running = (new.t < end).tolist()
-            rows += [row for row, r in enumerate(running) if r and row not in ends]
-            sample(new, None if len(rows) == len(running) else sorted(rows))
-        elif rows:
-            sample(new, rows)
+        ends, rows = {}, []  # the rows that stop, and the rows sampled
+        flags = zip(info.dt.tolist(), info.clamped.tolist(), info.peaks[0].tolist(),
+                    info.peaks[1].tolist(), new.t.tolist())
+        for row, (dt, clamped, pu, pv, t) in enumerate(flags):
+            if dt < cfg.dt_min:  # the step is void: input fields, no clamps
+                ends[row] = (OUTCOME_DT_COLLAPSE, state, steps - 1)
+                continue
+            clamps[batch.points[row]] += clamped
+            if not (math.isfinite(pu) and math.isfinite(pv)):
+                ends[row] = (OUTCOME_NONFINITE, new, steps)
+                continue
+            if pu > cfg.blowup_linf_threshold:
+                ends[row] = (OUTCOME_BLOWUP, new, steps)
+            elif not t < end:
+                new.t[row] = cfg.t_end
+                ends[row] = (OUTCOME_COMPLETED, new, steps)
+            elif steps % cfg.snapshot_stride:
+                continue
+            rows.append(row)
+        sample(new, rows)
         state = retire(ends, new)
     flush()
     _line_inverses.cache_clear()

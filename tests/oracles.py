@@ -232,7 +232,7 @@ def sampled_run_reference(state0, params, source, grid, cfg, c3=None, c45=None):
         new, info = step(state, [params], [source], cfg, grid)
         steps += 1
         clamps += int(info.clamped[0])
-        if info.dt_collapse[0]:
+        if info.dt[0] < cfg.dt_min:
             return series, "dt-collapse", steps - 1
         if not (np.all(np.isfinite(new.u)) and np.all(np.isfinite(new.v))):
             return series, "non-finite", steps

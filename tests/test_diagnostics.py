@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kslab
 from kslab.diagnostics import (
     CSV_COLUMNS,
     DiagnosticsSeries,
@@ -237,6 +242,38 @@ class TestSample:
                 )
             for name, column in alone.columns.items():
                 assert series.columns[name].tobytes() == column.tobytes(), name
+
+    def test_rows_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS rounds a 32^3 dot differently on 1 and on 2 threads: one
+        # random stack, sampled with its z3 and z45 sets in two fresh
+        # interpreters, must give the same bytes in every column
+        probe = """if True:
+            import numpy as np
+            from kslab.diagnostics import DiagnosticsSeries
+            from kslab.params import Grid, Parameters, State
+            from kslab.thresholds import CoefficientSet3D, CoefficientSet45D
+            grid = Grid(dim=3, extents=(1.0, 1.0, 1.0), cells=(32, 32, 32))
+            u, v = np.random.default_rng(3).uniform(0.0, 2.0, (2, 1) + grid.cells)
+            params = Parameters(d1=1, d2=1, chi=1, alpha=1, beta=1, kappa=1, mu=8, n=3)
+            c3 = CoefficientSet3D(eps1=0.5, eps2=0.3, eps3=0.2, eps4=0.4,
+                                  delta1=1.0, delta2=1.0, delta3=1.0)
+            c45 = CoefficientSet45D(eps=0.5, eta=0.5, eps1=1, eps2=1, eps3=1, eps4=1,
+                                    delta1=1.0, delta2=1.0, delta3=1.0, delta4=1.0)
+            series = DiagnosticsSeries()
+            DiagnosticsSeries.sample([series], State(u=u, v=v, t=np.zeros(1)), grid,
+                                     [params], [0], [c3], [c45])
+            print(*(column.tobytes().hex() for column in series.columns.values()))
+        """
+        src = str(Path(kslab.__file__).resolve().parents[1])
+        rows = [
+            subprocess.run(
+                [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+                timeout=60,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert rows[0] and rows[0] == rows[1]
 
 
 class TestMassBound:

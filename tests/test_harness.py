@@ -663,6 +663,22 @@ class TestCli:
         assert cli(argv) == EXIT_CONFIG
         assert "output_dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            ("1,x", "expected a number, got 'x'"),
+            (" , ", "expected a list of numbers"),
+            ("1,nan", "expected a finite number, got 'nan'"),
+        ],
+    )
+    def test_bad_sweep_values_exit_3(self, tmp_path, capsys, values, message):
+        # --values goes through the converter of config lists
+        path = tmp_path / "cfg.cfg"
+        path.write_text(one_d_cfg(tmp_path))
+        argv = ["sweep", "--config", str(path), "--axis", "d1", "--values", values]
+        assert cli(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: --values: {message}\n"
+
     def test_bad_worker_setting_exit_3(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KSLAB_WORKERS", "two")
         path = tmp_path / "cfg.cfg"

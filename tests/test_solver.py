@@ -26,6 +26,7 @@ from kslab.solver import (
     manufactured_problem,
     refinement_study,
     run,
+    run_batch,
     step,
     write_snapshot,
 )
@@ -98,7 +99,7 @@ class TestStepExactness:
         cfg = SolverConfig(dt_initial=0.05, t_end=1.0)
         for _ in range(5):
             st, info = step(st, [p], [logistic(p)], cfg, g)
-            assert not info.dt_collapse[0]
+            assert info.dt[0] >= cfg.dt_min
             assert np.max(np.abs(st.u - ue)) <= 1e-12 * ue
             assert np.max(np.abs(st.v - ve)) <= 1e-12 * ve
 
@@ -362,6 +363,70 @@ class TestAdaptivity:
         traj = run(st, unit_params(n=2), logistic(p), g, cfg)
         assert traj.outcome == OUTCOME_BLOWUP
         assert traj.steps == 0
+
+
+class TestStopRule:
+    """step only advances; run_batch decides after each step which points
+    stop: dt collapse, then a non-finite field, then blow-up, then t_end."""
+
+    def bump(self, cells=16):
+        g = Grid(dim=1, extents=(1.0,), cells=(cells,))
+        return g, initial_condition("gaussian-bump", g, base_u=0.5, base_v=0.5, amplitude=1.0)
+
+    def test_run_within_1e9_of_t_end_takes_one_step(self):
+        # t_end lies within run_batch's 1e-9 completion slack of t = 0: the
+        # run still steps once, and its t_end row holds the stepped fields
+        p = unit_params(n=1)
+        g, st = self.bump()
+        traj = run(st, p, logistic(p), g, SolverConfig(t_end=1e-10))
+        assert (traj.outcome, traj.steps) == (OUTCOME_COMPLETED, 1)
+        assert list(traj.diagnostics.column("t")) == [0.0, 1e-10]
+        assert traj.states[-1].t == 1e-10
+        assert not np.array_equal(traj.states[-1].u, st.u)
+        first, last = (traj.diagnostics.column("Linf_u")[k] for k in (0, -1))
+        assert first != last
+
+    @pytest.mark.parametrize("t0", [1.0, 2.0])
+    def test_initial_t_not_below_t_end_rejected(self, t0):
+        p = unit_params(n=1)
+        g, st = self.bump()
+        late = State(u=st.u, v=st.v, t=t0)
+        with pytest.raises(ValueError, match="below t_end"):
+            run_batch([st, late], [p, p], [logistic(p)] * 2, g, SolverConfig(t_end=1.0))
+
+    def test_collapse_on_the_step_that_reaches_t_end(self):
+        # step 1 builds a signal gradient from a flat v; on step 2 the
+        # chi = 1e8 point's CFL dt falls below dt_min while the other point
+        # reaches t_end.  The first keeps its step-1 fields and 1 step; the
+        # other is sampled once at t_end, also on a stride-1 sampling step
+        calm = unit_params(n=1)
+        wild = dataclasses.replace(calm, chi=1e8)
+        g, st = self.bump()
+        source = logistic(calm)
+        cfg = SolverConfig(dt_initial=1e-3, dt_min=1e-5, t_end=2e-3, snapshot_stride=1)
+        done, collapsed = run_batch([st, st], [calm, wild], [source] * 2, g, cfg)
+        assert (done.outcome, done.steps) == (OUTCOME_COMPLETED, 2)
+        assert list(done.diagnostics.column("t")) == [0.0, 1e-3, 2e-3]
+        assert done.states[-1].t == 2e-3
+        assert (collapsed.outcome, collapsed.steps) == (OUTCOME_DT_COLLAPSE, 1)
+        assert list(collapsed.diagnostics.column("t")) == [0.0, 1e-3]
+        assert collapsed.clamp_total == 0
+        one, _ = step(one_point(st), [wild], [source], cfg, g)
+        final = collapsed.states[-1]
+        assert final.t == 1e-3
+        assert final.u.tobytes() == one.u[0].tobytes() and final.v.tobytes() == one.v[0].tobytes()
+
+    def test_step_reports_the_cfl_dt_of_a_collapsing_point(self):
+        # enormous reaction stiffness: the CFL dt lies below dt_min, and a
+        # standalone step reports it and advances by it
+        p = unit_params(chi=0.0, mu=1.0, n=1)
+        g = Grid(dim=1, extents=(1.0,), cells=(8,))
+        st = one_point(State(u=np.full(g.cells, 1e7), v=np.zeros(g.cells), t=0.0))
+        cfg = SolverConfig(dt_initial=1e-3, dt_min=1e-4, t_end=1.0)
+        new, info = step(st, [p], [logistic(p)], cfg, g)
+        want = compute_dt([p], [logistic(p)], cfg, g, *extremes(st, g))[0]
+        assert info.dt[0] == want < cfg.dt_min
+        assert new.t[0] == want
 
 
 class TestRun:
