@@ -37,7 +37,6 @@ def _build_parser() -> _Parser:
         "thresholds", help="print damping/convergence thresholds", add_help=True
     )
     p_thr.add_argument("--config", required=True)
-    p_thr.add_argument("--convex", action="store_true")
 
     p_sim = sub.add_parser("simulate", help="run a scenario end to end")
     p_sim.add_argument("--config", required=True)
@@ -65,7 +64,7 @@ def _load_config(path: str) -> harness.ExperimentConfig:
 def _cmd_thresholds(args) -> int:
     cfg = _load_config(args.config)
     lines = {}  # report.txt's threshold lines
-    harness._report_thresholds(lines, th.report(cfg.params, args.convex or cfg.convex))
+    harness._report_thresholds(lines, th.report(cfg.params, cfg.convex))
     for key, value in lines.items():
         print(f"{key}: {value}")
     return EXIT_PASS

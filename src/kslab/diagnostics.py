@@ -2,7 +2,10 @@
 
 All quadrature is the midpoint rule on cell-centered fields; gradients of
 the signal are reconstructed from face differences so the monitored
-functionals see exactly the discrete fields the solver evolves.
+functionals see exactly the discrete fields the solver evolves.  The
+coupled functional sampled is the paper's z3 (n = 3); the 4/5-D sets of the
+thresholds layer concern domains that no 1- to 3-D grid holds, so no run
+samples them.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .params import Grid, Parameters, SourceFunction, State
-from .thresholds import CoefficientSet3D, CoefficientSet45D, ThresholdReport
+from .thresholds import CoefficientSet3D, ThresholdReport
 
 __all__ = [
     "grad_magnitude_squared",
@@ -69,28 +72,24 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x.reshape(len(x), -1), y.reshape(len(y), -1))
 
 
-def _moments(u, v, grid: Grid, scratch=None, c3=(), c45=()) -> List[Dict[str, float]]:
+def _moments(u, v, grid: Grid, scratch=None, c3=()) -> List[Dict[str, float]]:
     """Per point of the stacks u and v (leading point axis): cell sums of
-    products of u and g = |grad v|^2 keyed by their factors ("ugg" sums
-    u g^2), "|u|^3", and "z3" / "z45" (over the cell volume) for the points'
-    coefficient sets in c3 / c45 (None: no set); scratch is two stacks, for
-    g and for work."""
+    products of u and g = |grad v|^2 keyed by their factors ("ug" sums
+    u g), "|u|^3", and "z3" (over the cell volume) for the points'
+    coefficient sets in c3 (None: no set); scratch is two stacks, for g and
+    for work."""
     g, a = scratch or (np.empty_like(u), np.empty_like(u))
     grad_magnitude_squared(v, grid, out=g, tmp=a)
     m = {"u": _sums(u), "g": _sums(g), "ug": _dots(u, g)}
     np.multiply(g, g, out=a)
-    m.update(gg=_sums(a), ggg=_dots(a, g), ugg=_dots(u, a))
+    m.update(gg=_sums(a), ggg=_dots(a, g))
     np.multiply(u, u, out=a)
-    m.update(uu=_sums(a), uuu=_dots(a, u), uug=_dots(a, g))
+    m["uu"] = _sums(a)
     m["|u|^3"] = _dots(a, np.abs(u, out=g))
     points = [dict(zip(m, sums)) for sums in zip(*(x.tolist() for x in m.values()))]
     for p, c in zip(points, c3):
         if c:
             p["z3"] = c.delta1 * p["uu"] + c.delta2 * p["ug"] + c.delta3 * p["gg"]
-    for p, c in zip(points, c45):
-        if c:
-            p["z45"] = (c.delta1 * p["uuu"] + c.delta2 * p["uug"]
-                        + c.delta3 * p["ugg"] + c.delta4 * p["ggg"])
     return points
 
 
@@ -122,7 +121,7 @@ def _entropy(u, v, params: Sequence[Parameters], grid: Grid, scratch=None) -> Li
 
 CSV_COLUMNS = (
     "t", "mass_u", "L2_u", "L3_u", "Linf_u", "L2_gradv", "L4_gradv",
-    "L6_gradv", "z3", "z45", "H", "clamp_count",
+    "L6_gradv", "z3", "H", "clamp_count",
 )
 
 # Below this pointwise floor on u the entropy term is treated as undefined
@@ -164,12 +163,11 @@ class DiagnosticsSeries:
         params: Sequence[Parameters],
         clamp_total: Sequence[int],
         coeffs3: Optional[Sequence[Optional[CoefficientSet3D]]] = None,
-        coeffs45: Optional[Sequence[Optional[CoefficientSet45D]]] = None,
         scratch: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
         """Append a row to series[i] from row i of a stacked state (fields
-        (P, *grid.cells), an array t) for every row i; params, clamp_total,
-        coeffs3 and coeffs45 hold one entry per row (None: no set).  A
+        (P, *grid.cells), an array t) for every row i; params, clamp_total
+        and the z3 sets coeffs3 hold one entry per row (None: no set).  A
         series may sit at several rows, and then takes their rows in row
         order.  Every reduction is per row, so a row's values do not depend
         on the other rows of the call.  scratch is two contiguous stacks
@@ -177,9 +175,9 @@ class DiagnosticsSeries:
         two.
         """
         u, v = state.u, state.v
-        sets3, sets45 = coeffs3 or [None] * len(series), coeffs45 or [None] * len(series)
+        sets3 = coeffs3 or [None] * len(series)
         scratch = scratch or (np.empty(u.shape), np.empty(u.shape))
-        moments = _moments(u, v, grid, scratch, sets3, sets45)
+        moments = _moments(u, v, grid, scratch, sets3)
         u_lo, u_hi, v_lo, v_hi = (
             reduce(x.reshape(len(x), -1), axis=1).tolist()
             for x in (u, v) for reduce in (np.min, np.max)
@@ -203,7 +201,6 @@ class DiagnosticsSeries:
                 "Linf_u": max(u_hi[i], -u_lo[i]), "L2_gradv": (m["g"] * vol) ** 0.5,
                 "L4_gradv": (m["gg"] * vol) ** 0.25, "L6_gradv": (m["ggg"] * vol) ** (1 / 6),
                 "z3": m["z3"] * vol if sets3[i] else math.nan,
-                "z45": m["z45"] * vol if sets45[i] else math.nan,
                 "H": h.get(i, math.nan), "clamp_count": int(clamp_total[i]),
                 "Linf_v": max(v_hi[i], -v_lo[i]),
                 "dev_linf_u": math.nan, "dev_linf_v": math.nan,

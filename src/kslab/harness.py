@@ -220,16 +220,22 @@ def parse_config(text: str) -> ExperimentConfig:
     solver_cfg = _build("solver", sv.SolverConfig, s)
 
     # unset bases default to the homogeneous equilibrium: u = kappa/mu for
-    # kappa > 0 (else 1) and v = alpha u / beta
+    # kappa > 0 (else 1) and v = alpha u / beta, which may overflow
     if params.kappa > 0.0:
         i.setdefault("base_u", params.kappa / params.mu)
-        i.setdefault("base_v", params.alpha * params.kappa / (params.beta * params.mu))
+        beta_mu = params.beta * params.mu
+        i.setdefault("base_v", params.alpha * params.kappa / beta_mu if beta_mu else math.inf)
     i.setdefault("base_v", params.alpha / params.beta)
     ic = ICSpec(**i)
     if ic.kind not in ("constant-plus-perturbation", "gaussian-bump"):
         raise ConfigError(f"[ic]: unknown kind {ic.kind!r}")
     if ic.base_u < 0 or ic.base_v < 0 or ic.amplitude < 0 or ic.width <= 0:
         raise ConfigError("[ic]: bases and amplitude must be nonnegative, width positive")
+    if not (math.isfinite(ic.base_u) and math.isfinite(ic.base_v)):  # set ones are finite
+        raise ConfigError(
+            f"[ic]: the equilibrium bases base_u = {ic.base_u}, base_v = {ic.base_v} "
+            "are not finite; set base_u and base_v"
+        )
 
     if sc["scenario"] not in SCENARIOS:
         raise ConfigError(f"[scenario]: unknown scenario {sc['scenario']!r}")
@@ -347,11 +353,6 @@ def _initial_state(cfg: ExperimentConfig):
     )
 
 
-def _coefficient_sets(cfg: ExperimentConfig, report: th.ThresholdReport):
-    """The (z3, z45) coefficient sets that cfg's run samples."""
-    return (report.coeffs3 if cfg.grid.dim == 3 else None), report.coeffs45
-
-
 def _output_dir(cfg: ExperimentConfig) -> Path:
     """cfg's output directory, made with its parents if missing."""
     try:
@@ -416,9 +417,7 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
         lines["mu_exceeds_general_mu0"] = cfg.params.mu > value_g
 
     source, state0 = _source(cfg.params), _initial_state(cfg)
-    traj = sv.run(
-        state0, cfg.params, source, cfg.grid, cfg.solver, *_coefficient_sets(cfg, report)
-    )
+    traj = sv.run(state0, cfg.params, source, cfg.grid, cfg.solver, report.coeffs3)
     series = traj.diagnostics
     lines["outcome"] = traj.outcome
     lines["steps"] = traj.steps
@@ -490,16 +489,11 @@ def _order_scenario(cfg, lines) -> bool:
         if cfg.params.kappa == 0.0 and cfg.params.chi == 0.0
         else SourceFunction.standard_logistic(cfg.params.kappa, cfg.params.mu)
     )
-    grids = [
-        Grid(dim=1, extents=(cfg.grid.extents[0],), cells=(c,))
-        for c in cfg.order_grids
-    ]
     try:
-        result = sv.refinement_study(
-            cfg.params, source, grids, t_end=cfg.solver.t_end
-        )
+        grids = [Grid(dim=1, extents=cfg.grid.extents[:1], cells=(c,)) for c in cfg.order_grids]
+        result = sv.refinement_study(cfg.params, source, grids, t_end=cfg.solver.t_end)
     except ValueError as exc:
-        raise ConfigError(str(exc))
+        raise ConfigError(f"[scenario] grids: {exc}")
     lines["cells"] = " ".join(str(c) for c in result.cells)
     lines["errors"] = " ".join("%.6e" % e for e in result.errors)
     lines["orders"] = " ".join("%.4f" % o for o in result.orders)
@@ -584,11 +578,10 @@ def _sweep_chunk(args) -> List[Dict[str, object]]:
         if not ready:
             continue
         batch_rows, cfgs, reports, sources, dirs = zip(*ready)
-        sets = [_coefficient_sets(cfg, report) for cfg, report in zip(cfgs, reports)]
         try:
             trajectories = sv.run_batch(
                 [state0] * len(ready), [cfg.params for cfg in cfgs], sources, grid,
-                base.solver, [c3 for c3, _ in sets], [c45 for _, c45 in sets],
+                base.solver, [report.coeffs3 for report in reports],
             )
         except Exception as exc:
             for row in batch_rows:

@@ -47,7 +47,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsSeries
 from .params import Grid, Parameters, SourceFunction, State
-from .thresholds import CoefficientSet3D, CoefficientSet45D
+from .thresholds import CoefficientSet3D
 
 __all__ = [
     "SolverConfig",
@@ -512,15 +512,13 @@ def run(
     grid: Grid,
     cfg: SolverConfig,
     coeffs3: Optional[CoefficientSet3D] = None,
-    coeffs45: Optional[CoefficientSet45D] = None,
     forcing_u: Optional[ForcingFn] = None,
     forcing_v: Optional[ForcingFn] = None,
 ) -> Trajectory:
     """March one point: the one-point call of run_batch, which documents the
     outcomes, the sampling and the states kept."""
     return run_batch(
-        [state0], [params], [source], grid, cfg, [coeffs3], [coeffs45],
-        forcing_u, forcing_v,
+        [state0], [params], [source], grid, cfg, [coeffs3], forcing_u, forcing_v
     )[0]
 
 
@@ -547,14 +545,13 @@ def run_batch(
     grid: Grid,
     cfg: SolverConfig,
     coeffs3: Optional[Sequence[Optional[CoefficientSet3D]]] = None,
-    coeffs45: Optional[Sequence[Optional[CoefficientSet45D]]] = None,
     forcing_u: Optional[ForcingFn] = None,
     forcing_v: Optional[ForcingFn] = None,
 ) -> List[Trajectory]:
-    """March every point i, (states0[i], params[i], sources[i]) with
-    coefficient sets coeffs3[i] and coeffs45[i] (None: no set), from a t
-    below t_end (else ValueError), sampling diagnostics at the start and
-    every snapshot_stride steps; the forcings apply to every point.  After
+    """March every point i, (states0[i], params[i], sources[i]) with the z3
+    coefficient set coeffs3[i] (None: no set), from a t below t_end (else
+    ValueError), sampling diagnostics at the start and every
+    snapshot_stride steps; the forcings apply to every point.  After
     each step one pass decides, in this order, which points stop: a dt
     collapse (StepInfo.dt < dt_min; the point keeps its input fields and
     steps - 1, and adds no clamps), a non-finite u or v (kept, not sampled),
@@ -586,7 +583,6 @@ def run_batch(
     if not count:
         return []
     coeffs3 = list(coeffs3 or [None] * count)
-    coeffs45 = list(coeffs45 or [None] * count)
     series = [DiagnosticsSeries() for _ in states0]
     clamps = np.zeros(count, dtype=int)
     trajectories: List[Optional[Trajectory]] = [None] * count
@@ -609,8 +605,7 @@ def run_batch(
         matching row of state."""
         DiagnosticsSeries.sample(
             [series[i] for i in points], state, grid, [params[i] for i in points],
-            totals, [coeffs3[i] for i in points], [coeffs45[i] for i in points],
-            scratch=scratch,
+            totals, [coeffs3[i] for i in points], scratch=scratch,
         )
 
     def flush() -> None:

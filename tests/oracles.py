@@ -173,7 +173,7 @@ def grad_squared_reference(v, grid):
     return total
 
 
-def sample_reference(state, grid, params, c3, c45):
+def sample_reference(state, grid, params, c3):
     """The numeric diagnostics columns from np.abs(f) ** p norms, a fresh
     |grad v|^2 per functional and pointwise integrands."""
     u, v, vol = state.u, state.v, grid.cell_volume
@@ -191,8 +191,6 @@ def sample_reference(state, grid, params, c3, c45):
         "L4_gradv": norm(gmag, 4), "L6_gradv": norm(gmag, 6),
         "z3": float(np.sum(c3.delta1 * u * u + c3.delta2 * u * g2
                            + c3.delta3 * g2 * g2) * vol),
-        "z45": float(np.sum(c45.delta1 * u**3 + c45.delta2 * u * u * g2
-                            + c45.delta3 * u * g2 * g2 + c45.delta4 * g2**3) * vol),
         "Linf_v": norm(v, math.inf),
         "H": math.nan, "dev_linf_u": math.nan, "dev_linf_v": math.nan,
     }
@@ -201,34 +199,36 @@ def sample_reference(state, grid, params, c3, c45):
         v_eq = params.alpha * params.kappa / (params.beta * params.mu)
         if np.min(u) > 1e-12:
             delta = params.kappa * params.chi**2 / (8.0 * params.d1 * params.d2 * params.mu)
-            entropy = u - c - c * np.log(u / c)
+            with np.errstate(over="ignore"):
+                ratio = u / c
+            # ln u - ln c where u/c passes the largest double (a tiny c)
+            log_ratio = np.where(np.isinf(ratio), np.log(u) - math.log(c), np.log(ratio))
+            entropy = u - c - c * log_ratio
             row["H"] = float((np.sum(entropy) + delta * np.sum((v - v_eq) ** 2)) * vol)
         row["dev_linf_u"] = float(np.max(np.abs(u - c)))
         row["dev_linf_v"] = float(np.max(np.abs(v - v_eq)))
     return row
 
 
-def sampled_run_reference(state0, params, source, grid, cfg, c3=None, c45=None):
+def sampled_run_reference(state0, params, source, grid, cfg, c3=None):
     """The diagnostics of a solo run, each row taken the moment its state
     exists by a one-point DiagnosticsSeries.sample call: the initial state,
     every snapshot_stride-th step still short of t_end, a blown-up state,
     and the state reaching t_end (at t = t_end); nothing after a dt collapse
-    or a non-finite field.  Returns (series, outcome, steps)."""
+    or a non-finite field.  A run that does not blow up at once takes at
+    least one step.  Returns (series, outcome, steps)."""
     series = DiagnosticsSeries()
     end = cfg.t_end - 1e-9 * max(1.0, cfg.t_end)
     state = State(u=state0.u[None], v=state0.v[None], t=np.array([state0.t]))
     clamps, steps = 0, 0
 
     def sample(at):
-        DiagnosticsSeries.sample([series], at, grid, [params], [clamps], [c3], [c45])
+        DiagnosticsSeries.sample([series], at, grid, [params], [clamps], [c3])
 
     sample(state)
     if np.max(state.u) > cfg.blowup_linf_threshold:
         return series, "blowup-detected", 0
     while True:
-        if not state.t[0] < end:
-            sample(State(u=state.u, v=state.v, t=np.array([cfg.t_end])))
-            return series, "completed", steps
         new, info = step(state, [params], [source], cfg, grid)
         steps += 1
         clamps += int(info.clamped[0])
@@ -239,6 +239,9 @@ def sampled_run_reference(state0, params, source, grid, cfg, c3=None, c45=None):
         if np.max(new.u) > cfg.blowup_linf_threshold:
             sample(new)
             return series, "blowup-detected", steps
-        if steps % cfg.snapshot_stride == 0 and new.t[0] < end:
+        if not new.t[0] < end:
+            sample(State(u=new.u, v=new.v, t=np.array([cfg.t_end])))
+            return series, "completed", steps
+        if steps % cfg.snapshot_stride == 0:
             sample(new)
         state = new

@@ -34,16 +34,12 @@ from kslab.solver import (
     run,
     run_batch,
 )
-from kslab.thresholds import CoefficientSet3D, CoefficientSet45D
+from kslab.thresholds import CoefficientSet3D
 
 from oracles import sampled_run_reference
 
 UNIT3 = CoefficientSet3D(
     eps1=0.5, eps2=0.3, eps3=0.2, eps4=0.4, delta1=1.0, delta2=1.0, delta3=1.0
-)
-UNIT45 = CoefficientSet45D(
-    eps=0.5, eta=0.5, eps1=1, eps2=1, eps3=1, eps4=1,
-    delta1=1.0, delta2=1.0, delta3=1.0, delta4=1.0,
 )
 BLOWUP = 1e6
 
@@ -85,11 +81,11 @@ def batches(draw):
             state = State(u=draw(fields), v=draw(fields), t=0.0)
         else:
             state = State(u=np.full(cells, ROLE_U0[role]), v=np.ones(cells), t=0.0)
-        sets = draw(hs.sampled_from([(None, None), (UNIT3, UNIT45)]))
+        c3 = draw(hs.sampled_from([None, UNIT3]))
         source = SourceFunction.standard_logistic(params.kappa, params.mu)
         if role == "plain" and draw(hs.booleans()):
             source = SourceFunction.zero()
-        points.append((role, state, params, sets, source))
+        points.append((role, state, params, c3, source))
     cfg = SolverConfig(
         dt_initial=1e-3, dt_min=1e-5, t_end=0.05, blowup_linf_threshold=BLOWUP,
         cfl_safety=draw(hs.floats(0.1, 1.0)), snapshot_stride=draw(hs.integers(1, 4)),
@@ -158,17 +154,14 @@ def test_deferred_samples_equal_immediate_ones(cells, roles, stride, monkeypatch
         else:
             states.append(State(u=np.full(cells, ROLE_U0[role]), v=np.ones(cells), t=0.0))
     sources = [SourceFunction.standard_logistic(p.kappa, p.mu) for p in params]
-    sets = [(UNIT3, UNIT45) if k % 2 else (None, None) for k in range(len(roles))]
+    sets = [UNIT3 if k % 2 else None for k in range(len(roles))]
     cfg = SolverConfig(dt_initial=1e-3, dt_min=1e-5, t_end=0.05, cfl_safety=1.0,
                        blowup_linf_threshold=BLOWUP, snapshot_stride=stride)
-    batch = run_batch(states, params, sources, grid, cfg,
-                      [c3 for c3, _ in sets], [c45 for _, c45 in sets])
+    batch = run_batch(states, params, sources, grid, cfg, sets)
     assert max(calls) > len(roles)  # the samples were deferred
     steps = set()
-    for role, state, p, source, (c3, c45), got in zip(
-        roles, states, params, sources, sets, batch
-    ):
-        want, outcome, taken = sampled_run_reference(state, p, source, grid, cfg, c3, c45)
+    for role, state, p, source, c3, got in zip(roles, states, params, sources, sets, batch):
+        want, outcome, taken = sampled_run_reference(state, p, source, grid, cfg, c3)
         assert (got.outcome, got.steps) == (outcome, taken)
         assert got.outcome == EXPECTED.get(role, OUTCOME_COMPLETED)
         for name, column in want.columns.items():
@@ -183,17 +176,30 @@ def test_deferred_samples_equal_immediate_ones(cells, roles, stride, monkeypatch
 def test_batch_equals_solo_runs(problem):
     grid, points, cfg, forcing = problem
     roles, states, params, sets, sources = zip(*points)
-    batch = run_batch(
-        states, params, sources, grid, cfg,
-        [c3 for c3, _ in sets], [c45 for _, c45 in sets], forcing_u=forcing,
-    )
-    for role, state, p, source, (c3, c45), got in zip(
-        roles, states, params, sources, sets, batch
-    ):
-        want = run(state, p, source, grid, cfg, c3, c45, forcing_u=forcing)
+    batch = run_batch(states, params, sources, grid, cfg, sets, forcing_u=forcing)
+    for role, state, p, source, c3, got in zip(roles, states, params, sources, sets, batch):
+        want = run(state, p, source, grid, cfg, c3, forcing_u=forcing)
         assert_same_run(got, want)
         if role != "plain" and forcing is None:
             assert got.outcome == EXPECTED[role]
+
+
+def test_start_within_the_t_end_tolerance_takes_one_step():
+    """A start within 1e-9 of t_end: the batch and the sampled solo oracle
+    both take one step and sample the stepped fields at t = t_end."""
+    grid = Grid(dim=1, extents=(1.0,), cells=(16,))
+    p = Parameters(d1=1.0, d2=0.5, chi=2.0, alpha=1.0, beta=1.0, kappa=1.0, mu=2.0, n=1)
+    state = initial_condition("gaussian-bump", grid, base_u=0.5, base_v=0.25, amplitude=1.0)
+    source = SourceFunction.standard_logistic(p.kappa, p.mu)
+    cfg = SolverConfig(t_end=1e-10)
+    [got] = run_batch([state], [p], [source], grid, cfg, [UNIT3])
+    want, outcome, taken = sampled_run_reference(state, p, source, grid, cfg, UNIT3)
+    assert (got.outcome, got.steps) == (outcome, taken) == (OUTCOME_COMPLETED, 1)
+    assert list(got.diagnostics.times) == [0.0, cfg.t_end]
+    linf = got.diagnostics.column("Linf_u")
+    assert linf[1] != linf[0] == np.max(state.u)
+    for name, column in want.columns.items():
+        assert got.diagnostics.columns[name].tobytes() == column.tobytes(), name
 
 
 @contextlib.contextmanager
@@ -261,8 +267,8 @@ def assert_split_equals_serial(march, upper):
 def test_split_step_equals_serial_step(problem):
     grid, points, cfg, forcing = problem
     assert_split_equals_serial(lambda: [
-        run(state, p, source, grid, cfg, c3, c45, forcing_u=forcing, forcing_v=forcing)
-        for _, state, p, (c3, c45), source in points
+        run(state, p, source, grid, cfg, c3, forcing_u=forcing, forcing_v=forcing)
+        for _, state, p, c3, source in points
     ], upper=(grid.cells[0] // 2, grid.cells[0]))
 
 
@@ -469,4 +475,4 @@ def test_stopped_point_leaves_the_stack():
     assert math.isfinite(float(np.max(blown.states[-1].u)))
     assert not np.shares_memory(blown.states[-1].u, first.states[-1].u)
     assert all(np.all(np.isfinite(t.diagnostics.column(c))) for t in (first, last)
-               for c in CSV_COLUMNS if c not in ("z3", "z45"))
+               for c in CSV_COLUMNS if c != "z3")

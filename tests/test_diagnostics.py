@@ -22,11 +22,7 @@ from kslab.diagnostics import (
 )
 from kslab.params import Grid, Parameters, SourceFunction, State, validate
 from kslab.solver import _face_gradient
-from kslab.thresholds import (
-    CoefficientSet3D,
-    CoefficientSet45D,
-    ThresholdReport,
-)
+from kslab.thresholds import CoefficientSet3D, ThresholdReport
 
 from points import one_point
 
@@ -48,19 +44,12 @@ def coeffs3(d1=1.0, d2=1.0, d3=1.0):
     )
 
 
-def coeffs45(d1=1.0, d2=1.0, d3=1.0, d4=1.0):
-    return CoefficientSet45D(
-        eps=0.5, eta=0.5, eps1=1, eps2=1, eps3=1, eps4=1,
-        delta1=d1, delta2=d2, delta3=d3, delta4=d4,
-    )
-
-
-def row(state, grid, params=None, c3=None, c45=None):
+def row(state, grid, params=None, c3=None):
     """The diagnostics row that DiagnosticsSeries.sample appends for one
-    point (params defaults to unit_params, no coefficient sets)."""
+    point (params defaults to unit_params, no coefficient set)."""
     series = DiagnosticsSeries()
     DiagnosticsSeries.sample(
-        [series], one_point(state), grid, [params or unit_params()], [0], [c3], [c45]
+        [series], one_point(state), grid, [params or unit_params()], [0], [c3]
     )
     return {name: column[0] for name, column in series.columns.items()}
 
@@ -134,18 +123,6 @@ class TestFunctionals:
         assert value == pytest.approx(2.0 * float(np.sum(g2 * g2) * g.cell_volume))
         # int |grad v|^4 for v = cos(pi x) is 3 pi^4 / 8
         assert value == pytest.approx(2.0 * 3.0 * np.pi**4 / 8.0, rel=0.05)
-
-    def test_z45_unit_fields_and_cubic_scaling(self):
-        g = unit_grid()
-        ones = State(u=np.ones(g.cells), v=np.ones(g.cells), t=0.0)
-        assert row(ones, g, c45=coeffs45())["z45"] == pytest.approx(1.0)
-        rng = np.random.default_rng(4)
-        u = rng.uniform(0, 1, g.cells)
-
-        def z45(density):
-            return row(State(u=density, v=np.ones(g.cells), t=0), g, c45=coeffs45())["z45"]
-
-        assert z45(2 * u) == pytest.approx(8.0 * z45(u), rel=1e-12)
 
 
 class TestLyapunov:
@@ -226,10 +203,9 @@ class TestSample:
         t = np.array([0.0, 0.0, 0.1, 0.1, 0.2])
         a, b = DiagnosticsSeries(), DiagnosticsSeries()
         params = [unit_params(kappa=float(k % 2 == 0)) for k in range(5)]
-        sets3, sets45 = [coeffs3()] * 5, [None, coeffs45()] * 2 + [None]
+        sets3 = [coeffs3(), None] * 2 + [coeffs3()]
         DiagnosticsSeries.sample(
-            [a, b, a, b, a], State(u=u, v=v, t=t), grid, params, list(range(5)),
-            sets3, sets45,
+            [a, b, a, b, a], State(u=u, v=v, t=t), grid, params, list(range(5)), sets3
         )
         assert list(a.times) == [0.0, 0.1, 0.2] and list(b.times) == [0.0, 0.1]
         assert list(a.columns["clamp_count"]) == [0, 2, 4]
@@ -238,30 +214,28 @@ class TestSample:
             for i in rows:
                 DiagnosticsSeries.sample(
                     [alone], State(u=u[i:i + 1], v=v[i:i + 1], t=t[i:i + 1]), grid,
-                    [params[i]], [i], [sets3[i]], [sets45[i]],
+                    [params[i]], [i], [sets3[i]],
                 )
             for name, column in alone.columns.items():
                 assert series.columns[name].tobytes() == column.tobytes(), name
 
     def test_rows_do_not_depend_on_the_blas_thread_count(self):
         # OpenBLAS rounds a 32^3 dot differently on 1 and on 2 threads: one
-        # random stack, sampled with its z3 and z45 sets in two fresh
+        # random stack, sampled with its z3 set in two fresh
         # interpreters, must give the same bytes in every column
         probe = """if True:
             import numpy as np
             from kslab.diagnostics import DiagnosticsSeries
             from kslab.params import Grid, Parameters, State
-            from kslab.thresholds import CoefficientSet3D, CoefficientSet45D
+            from kslab.thresholds import CoefficientSet3D
             grid = Grid(dim=3, extents=(1.0, 1.0, 1.0), cells=(32, 32, 32))
             u, v = np.random.default_rng(3).uniform(0.0, 2.0, (2, 1) + grid.cells)
             params = Parameters(d1=1, d2=1, chi=1, alpha=1, beta=1, kappa=1, mu=8, n=3)
             c3 = CoefficientSet3D(eps1=0.5, eps2=0.3, eps3=0.2, eps4=0.4,
                                   delta1=1.0, delta2=1.0, delta3=1.0)
-            c45 = CoefficientSet45D(eps=0.5, eta=0.5, eps1=1, eps2=1, eps3=1, eps4=1,
-                                    delta1=1.0, delta2=1.0, delta3=1.0, delta4=1.0)
             series = DiagnosticsSeries()
             DiagnosticsSeries.sample([series], State(u=u, v=v, t=np.zeros(1)), grid,
-                                     [params], [0], [c3], [c45])
+                                     [params], [0], [c3])
             print(*(column.tobytes().hex() for column in series.columns.values()))
         """
         src = str(Path(kslab.__file__).resolve().parents[1])
@@ -384,7 +358,7 @@ class TestSeriesAndAudit:
         defaults = dict(
             t=t, mass_u=np.ones(n), L2_u=np.ones(n), L3_u=np.ones(n),
             Linf_u=np.ones(n), L2_gradv=np.zeros(n), L4_gradv=np.zeros(n),
-            L6_gradv=np.zeros(n), z3=[math.nan] * n, z45=[math.nan] * n,
+            L6_gradv=np.zeros(n), z3=[math.nan] * n,
             H=[math.nan] * n, clamp_count=[0] * n, Linf_v=np.ones(n),
             dev_linf_u=np.ones(n), dev_linf_v=np.ones(n),
         )
@@ -449,12 +423,11 @@ class TestSeriesAndAudit:
         )
         one, zero = "1.00000000000000000e+00", "0.00000000000000000e+00"
         assert s.to_csv() == "\n".join([
-            "t,mass_u,L2_u,L3_u,Linf_u,L2_gradv,L4_gradv,L6_gradv,z3,z45,H,clamp_count",
+            "t,mass_u,L2_u,L3_u,Linf_u,L2_gradv,L4_gradv,L6_gradv,z3,H,clamp_count",
             ",".join([zero, one, one, one, one, zero, zero, zero,
-                      "1.00000000000000006e-01", "", "", "0"]),
+                      "1.00000000000000006e-01", "", "0"]),
             ",".join(["5.00000000000000000e-01", one, one, one, one, zero, zero,
-                      zero, "2.50000000000000000e+00", "", "2.50000000000000000e-01",
-                      "3"]),
+                      zero, "2.50000000000000000e+00", "2.50000000000000000e-01", "3"]),
         ]) + "\n"
         assert s.to_csv().split("\n")[0] == ",".join(CSV_COLUMNS)
 

@@ -534,6 +534,14 @@ class TestCli:
         assert "mu1: 0.25" in out
         assert "gamma:" in out
 
+    def test_thresholds_convex_comes_from_the_config(self, tmp_path, capsys):
+        path = tmp_path / "cfg.cfg"
+        path.write_text(_set_key(minimal_cfg(tmp_path), "scenario", "convex", "true"))
+        assert cli(["thresholds", "--config", str(path), "--convex"]) == EXIT_CONFIG
+        assert "unrecognized arguments: --convex" in capsys.readouterr().err
+        assert cli(["thresholds", "--config", str(path)]) == EXIT_PASS
+        assert "mu0_branch: convex-equal-diffusion" in capsys.readouterr().out
+
     def test_simulate_and_fit_round_trip(self, tmp_path, capsys):
         path = tmp_path / "cfg.cfg"
         text = minimal_cfg(tmp_path, kappa="-1.0", chi="0.0", dim="1", n="1")
@@ -636,6 +644,27 @@ class TestCli:
             argv += ["--axis", "kappa", "--values", "1e-310"]
         assert cli(argv) == EXIT_CONFIG
         assert "kappa/mu = 1e-310/" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edits", [{"beta": "1e-320"}, {"mu": "1e-320"}, {"beta": "1e-320", "mu": "1e-10"}]
+    )
+    def test_non_finite_default_bases_exit_3(self, tmp_path, capsys, edits):
+        # the equilibrium alpha kappa / (beta mu) overflows, or beta mu underflows
+        text = (Path(__file__).parent / "scenarios" / "boundedness.cfg").read_text()
+        text = _replace_key(text, "output_dir", tmp_path / "out")
+        for key, value in edits.items():
+            text = _replace_key(text, key, value)
+        (tmp_path / "cfg.cfg").write_text(text)
+        assert cli(["simulate", "--config", str(tmp_path / "cfg.cfg")]) == EXIT_CONFIG
+        assert "config error: [ic]: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grids", ["0 0 0", "2 4 8", "16 32 64 -1"])
+    def test_order_grids_below_4_cells_exit_3(self, tmp_path, capsys, grids):
+        text = (Path(__file__).parent / "scenarios" / "manufactured-order.cfg").read_text()
+        text = _replace_key(_replace_key(text, "output_dir", tmp_path / "out"), "grids", grids)
+        (tmp_path / "cfg.cfg").write_text(text)
+        assert cli(["simulate", "--config", str(tmp_path / "cfg.cfg")]) == EXIT_CONFIG
+        assert "config error: [scenario] grids: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_n_sweep_off_the_grid_dim_exit_3(self, tmp_path, capsys, command):

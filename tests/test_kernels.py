@@ -14,17 +14,13 @@ import kslab.solver as sv
 from kslab.diagnostics import DiagnosticsSeries
 from kslab.params import Grid, Parameters, SourceFunction, State, validate
 from kslab.solver import SolverConfig, initial_condition, run, run_batch, step
-from kslab.thresholds import CoefficientSet3D, CoefficientSet45D
+from kslab.thresholds import CoefficientSet3D
 
 from oracles import sample_reference, step_reference
 from points import one_point
 
 UNIT3 = CoefficientSet3D(
     eps1=0.5, eps2=0.3, eps3=0.2, eps4=0.4, delta1=1.0, delta2=1.0, delta3=1.0
-)
-UNIT45 = CoefficientSet45D(
-    eps=0.5, eta=0.5, eps1=1, eps2=1, eps3=1, eps4=1,
-    delta1=1.0, delta2=1.0, delta3=1.0, delta4=1.0,
 )
 REL = 1e-13
 
@@ -83,10 +79,8 @@ def test_sample_agrees_with_reference(problem):
     grid, params, u, v, _ = problem
     state = State(u=u, v=v, t=0.25)
     series = DiagnosticsSeries()
-    DiagnosticsSeries.sample(
-        [series], one_point(state), grid, [params], [3], [UNIT3], [UNIT45]
-    )
-    want = sample_reference(state, grid, params, UNIT3, UNIT45)
+    DiagnosticsSeries.sample([series], one_point(state), grid, [params], [3], [UNIT3])
+    want = sample_reference(state, grid, params, UNIT3)
     for name, value in want.items():
         got = series.columns[name][0]
         if math.isnan(value):
