@@ -11,7 +11,6 @@ from pathlib import Path
 from . import __version__
 from . import diagnostics as diag
 from . import harness
-from . import thresholds as th
 from .harness import EXIT_AUDIT, EXIT_CONFIG, EXIT_PASS
 
 __all__ = ["cli", "main"]
@@ -64,7 +63,7 @@ def _load_config(path: str) -> harness.ExperimentConfig:
 def _cmd_thresholds(args) -> int:
     cfg = _load_config(args.config)
     lines = {}  # report.txt's threshold lines
-    harness._report_thresholds(lines, th.report(cfg.params, cfg.convex))
+    harness._report_thresholds(lines, cfg)
     for key, value in lines.items():
         print(f"{key}: {value}")
     return EXIT_PASS

@@ -209,7 +209,14 @@ def _build(section: str, make, fields: dict):
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and fully validate an experiment configuration."""
+    """Parse and fully validate an experiment configuration.
+
+    Errors come in the order: layout and keys (_sections), converted values,
+    the Grid, Parameters and SolverConfig checks, then the rules of _rules
+    over the built config (the [ic] kind, values and finite bases, the
+    scenario name, n = grid dim, the scenario's requirements) and last, for
+    the sweep scenario, each sweep value (_validate_sweep_axis).
+    """
     p, g, s, i, sc = (
         {_FIELD.get(key, key): _convert(name, key, value) for key, value in raw.items()}
         for name, raw in _sections(text).items()
@@ -226,70 +233,51 @@ def parse_config(text: str) -> ExperimentConfig:
         beta_mu = params.beta * params.mu
         i.setdefault("base_v", params.alpha * params.kappa / beta_mu if beta_mu else math.inf)
     i.setdefault("base_v", params.alpha / params.beta)
-    ic = ICSpec(**i)
-    if ic.kind not in ("constant-plus-perturbation", "gaussian-bump"):
-        raise ConfigError(f"[ic]: unknown kind {ic.kind!r}")
-    if ic.base_u < 0 or ic.base_v < 0 or ic.amplitude < 0 or ic.width <= 0:
-        raise ConfigError("[ic]: bases and amplitude must be nonnegative, width positive")
-    if not (math.isfinite(ic.base_u) and math.isfinite(ic.base_v)):  # set ones are finite
-        raise ConfigError(
-            f"[ic]: the equilibrium bases base_u = {ic.base_u}, base_v = {ic.base_v} "
-            "are not finite; set base_u and base_v"
-        )
-
-    if sc["scenario"] not in SCENARIOS:
-        raise ConfigError(f"[scenario]: unknown scenario {sc['scenario']!r}")
-    cfg = ExperimentConfig(params=params, grid=grid, solver=solver_cfg, ic=ic, **sc)
-    _check_scenario_constraints(cfg)
+    cfg = ExperimentConfig(params=params, grid=grid, solver=solver_cfg, ic=ICSpec(**i), **sc)
+    for message, holds in _rules(cfg):
+        if not holds:
+            raise ConfigError(message)
+    if cfg.scenario == "small-diffusion-sweep":
+        _validate_sweep_axis(cfg.sweep_axis, cfg.sweep_values, cfg)
     return cfg
 
 
-def _check_scenario_constraints(cfg: ExperimentConfig) -> None:
-    params, name = cfg.params, cfg.scenario
-    if name != "manufactured-order" and params.n != cfg.grid.dim:
-        raise ConfigError(
-            f"params n = {params.n} must match grid dim = {cfg.grid.dim}"
-        )
+def _rules(cfg: ExperimentConfig):
+    """The config rules as (message, holds), in the order parse_config checks
+    them.  A rule is stated only once those before it hold, so mu1 is
+    computed only for a convergence config with kappa > 0 and chi != 0."""
+    params, ic, name = cfg.params, cfg.ic, cfg.scenario
+    kinds = ("constant-plus-perturbation", "gaussian-bump")
+    yield f"[ic]: unknown kind {ic.kind!r}", ic.kind in kinds
+    yield "[ic]: bases and amplitude must be nonnegative, width positive", not (
+        ic.base_u < 0 or ic.base_v < 0 or ic.amplitude < 0 or ic.width <= 0)
+    yield (  # set bases are finite; a default one may not be
+        f"[ic]: the equilibrium bases base_u = {ic.base_u}, base_v = {ic.base_v} "
+        "are not finite; set base_u and base_v"
+    ), math.isfinite(ic.base_u) and math.isfinite(ic.base_v)
+    yield f"[scenario]: unknown scenario {name!r}", name in SCENARIOS
+    yield (f"params n = {params.n} must match grid dim = {cfg.grid.dim}",
+           name == "manufactured-order" or params.n == cfg.grid.dim)
     if name == "convergence-positive-kappa":
-        if params.kappa <= 0.0:
-            raise ConfigError("convergence-positive-kappa requires kappa > 0")
-        if params.chi == 0.0:
-            raise ConfigError(
-                "convergence-positive-kappa requires chi != 0 (the rate "
-                "formula degenerates without chemotaxis)"
-            )
+        yield f"{name} requires kappa > 0", params.kappa > 0.0
+        yield (f"{name} requires chi != 0 (the rate formula degenerates without "
+               "chemotaxis)", params.chi != 0.0)
         threshold = th.mu1(params)
-        if params.mu <= threshold:
-            raise ConfigError(
-                f"convergence-positive-kappa requires mu > mu1 = {threshold}"
-            )
+        yield f"{name} requires mu > mu1 = {threshold}", not params.mu <= threshold  # a nan mu1 holds
     elif name == "decay-zero-kappa":
-        if params.kappa != 0.0:
-            raise ConfigError("decay-zero-kappa requires kappa = 0")
+        yield f"{name} requires kappa = 0", params.kappa == 0.0
     elif name == "decay-negative-kappa":
-        if params.kappa >= 0.0:
-            raise ConfigError("decay-negative-kappa requires kappa < 0")
+        yield f"{name} requires kappa < 0", params.kappa < 0.0
     elif name == "convex-comparison":
-        if params.n not in (3, 4, 5):
-            raise ConfigError(
-                f"convex-comparison requires n in {{3, 4, 5}} (mu0 is defined "
-                f"only there), got n = {params.n}"
-            )
-        if params.d1 != params.d2 or params.chi <= 0.0:
-            raise ConfigError(
-                "convex-comparison requires d1 = d2 and chi > 0"
-            )
+        yield (f"{name} requires n in {{3, 4, 5}} (mu0 is defined only there), "
+               f"got n = {params.n}", params.n in (3, 4, 5))
+        yield f"{name} requires d1 = d2 and chi > 0", params.d1 == params.d2 and params.chi > 0.0
     elif name == "small-diffusion-sweep":
-        if not cfg.sweep_axis or not cfg.sweep_values:
-            raise ConfigError(
-                "small-diffusion-sweep requires sweep_axis and sweep_values"
-            )
-        _validate_sweep_axis(cfg.sweep_axis, cfg.sweep_values, cfg)
+        yield (f"{name} requires sweep_axis and sweep_values",
+               bool(cfg.sweep_axis and cfg.sweep_values))
     elif name == "manufactured-order":
-        if not cfg.order_grids:
-            raise ConfigError("manufactured-order requires grids (cell counts)")
-        if len(cfg.order_grids) < 3:
-            raise ConfigError("manufactured-order needs at least 3 grids")
+        yield f"{name} requires grids (cell counts)", bool(cfg.order_grids)
+        yield f"{name} needs at least 3 grids", len(cfg.order_grids) >= 3
 
 
 def _validate_sweep_axis(axis: str, values: Tuple[float, ...], cfg: ExperimentConfig):
@@ -406,8 +394,7 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     if cfg.scenario == "manufactured-order":
         return _finish(out, lines, _order_scenario(cfg, lines))
 
-    report = th.report(cfg.params, cfg.convex)
-    _report_thresholds(lines, report)
+    report = _report_thresholds(lines, cfg)
     if cfg.scenario == "convex-comparison":
         value_c, _ = th.mu0_general(cfg.params, convex=True)
         value_g, _ = th.mu0_general(cfg.params, convex=False)
@@ -445,42 +432,44 @@ def _finish(out: Path, lines, passed: bool, outcome: Optional[str] = None):
     return ScenarioResult(code, outcome, lines, out)
 
 
+_BOUNDED = ("mass_bound_pass", "clamp_check", "z3_stable")
+_DECAY = ("mass_bound_pass", "audit_rate_pass")
+# the report lines of the checks that each simulated scenario's verdict rests on
+_CHECKS = {
+    "boundedness": _BOUNDED, "convex-comparison": _BOUNDED,
+    "convergence-positive-kappa": _DECAY + ("H_monotone",),
+    "decay-zero-kappa": _DECAY, "decay-negative-kappa": _DECAY,
+}
+
+
 def _audit_completed_run(cfg, report, traj, source, state0, lines) -> bool:
+    """Write each check of cfg's scenario as its report line, with its
+    details, and return the verdict: all of the scenario's _CHECKS.  A check
+    without data (z3 without a coefficient set) writes no line and does not
+    count; a series that the rate fit cannot use writes audit_error and
+    fails."""
     series = traj.diagnostics
     u0_mass = float(np.sum(state0.u) * cfg.grid.cell_volume)
     mass = diag.mass_bound_check(series, source, u0_mass, cfg.grid.volume)
     lines["mass_bound_pass"] = mass.passed
     lines["mass_bound_value"] = mass.bound
     lines["mass_bound_worst_margin"] = mass.worst_margin
-    checks = [mass.passed]
-
     if cfg.scenario in ("boundedness", "convex-comparison"):
         lines["clamp_check"] = traj.clamp_total == 0
-        checks.append(traj.clamp_total == 0)
-        zcheck = _zstability(series)
-        if zcheck is not None:
-            lines.update(zcheck)
-            checks.append(zcheck["z3_stable"])
-        return all(checks)
-
-    # the convergence and decay scenarios; an unusable series (e.g. too few
-    # samples in the fitting window) is a failed audit, not a crash
-    try:
-        audit = diag.convergence_audit(series, cfg.params, report, cfg.grid.dim)
-    except ValueError as exc:
-        lines["audit_error"] = str(exc)
-        return False
-    lines.update(audit.details)
-    lines["audit_rate_pass"] = audit.passed
-    checks.append(audit.passed)
-    if cfg.scenario == "convergence-positive-kappa":
-        h_ok, worst = diag.h_monotonicity_check(
-            series, tol_factor=1e-8 * cfg.solver.snapshot_stride
-        )
-        lines["H_monotone"] = h_ok
-        lines["H_worst_increase"] = worst
-        checks.append(h_ok)
-    return all(checks)
+        lines.update(_zstability(series) or {})
+    else:
+        try:
+            audit = diag.convergence_audit(series, cfg.params, report, cfg.grid.dim)
+        except ValueError as exc:  # e.g. too few samples in the fitting window
+            lines["audit_error"] = str(exc)
+            return False
+        lines.update(audit.details)
+        lines["audit_rate_pass"] = audit.passed
+        if cfg.scenario == "convergence-positive-kappa":
+            lines["H_monotone"], lines["H_worst_increase"] = diag.h_monotonicity_check(
+                series, tol_factor=1e-8 * cfg.solver.snapshot_stride
+            )
+    return all(lines.get(name, True) for name in _CHECKS[cfg.scenario])
 
 
 def _order_scenario(cfg, lines) -> bool:
@@ -494,6 +483,9 @@ def _order_scenario(cfg, lines) -> bool:
         result = sv.refinement_study(cfg.params, source, grids, t_end=cfg.solver.t_end)
     except ValueError as exc:
         raise ConfigError(f"[scenario] grids: {exc}")
+    except RuntimeError as exc:  # a run that did not complete, or errors with no order
+        lines["audit_error"] = str(exc)
+        return False
     lines["cells"] = " ".join(str(c) for c in result.cells)
     lines["errors"] = " ".join("%.6e" % e for e in result.errors)
     lines["orders"] = " ".join("%.4f" % o for o in result.orders)
@@ -523,9 +515,15 @@ def _sweep_scenario(cfg, lines) -> bool:
     return passed
 
 
-def _report_thresholds(lines, report: th.ThresholdReport) -> None:
+def _report_thresholds(lines, cfg: ExperimentConfig) -> th.ThresholdReport:
+    """Write cfg's threshold lines, as in report.txt, and return its report;
+    a boundedness config also states its hypothesis mu > mu0."""
+    report = th.report(cfg.params, cfg.convex)
+    undefined = math.isnan(report.mu0)  # n outside {3, 4, 5}
     lines["mu0"] = report.mu0
-    lines["mu0_branch"] = report.branch
+    lines["mu0_branch"] = "undefined" if undefined else report.branch
+    if cfg.scenario == "boundedness":
+        lines["mu_exceeds_mu0"] = "undefined" if undefined else cfg.params.mu > report.mu0
     lines["mu1"] = report.mu1
     lines["gamma"] = report.gamma if report.gamma is not None else "undefined"
     lines["epsilon0"] = (
@@ -536,6 +534,7 @@ def _report_thresholds(lines, report: th.ThresholdReport) -> None:
             continue
         for fld in dataclasses.fields(coeffs):
             lines[f"{label}_{fld.name}"] = getattr(coeffs, fld.name)
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -796,6 +796,8 @@ def refinement_study(
             raise RuntimeError(f"manufactured run ended with {traj.outcome}")
         diff = traj.states[-1].u - exact_u(mesh, t_end)
         errors.append(float(np.sqrt(np.sum(diff * diff) * grid.cell_volume)))
+    if not all(errors):
+        raise RuntimeError(f"manufactured errors {errors} give no order")
     orders = tuple(
         math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)
     )

@@ -666,6 +666,64 @@ class TestCli:
         assert cli(["simulate", "--config", str(tmp_path / "cfg.cfg")]) == EXIT_CONFIG
         assert "config error: [scenario] grids: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("alpha", "1e308"), ("beta", "1e308"), ("kappa", "1e308"), ("chi", "1e30"),
+         ("t_end", "1e-300"), ("t_end", "1e-29")],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing runs
+    def test_manufactured_run_without_an_order_exit_4(self, tmp_path, capsys, key, value):
+        # the runs overflow or collapse their dt, or end with errors of 0
+        text = (Path(__file__).parent / "scenarios" / "manufactured-order.cfg").read_text()
+        text = _replace_key(_replace_key(text, "output_dir", tmp_path / "out"), key, value)
+        (tmp_path / "cfg.cfg").write_text(text)
+        assert cli(["simulate", "--config", str(tmp_path / "cfg.cfg")]) == EXIT_AUDIT
+        report = (tmp_path / "out" / "report.txt").read_text().splitlines()
+        assert report[0] == "scenario: manufactured-order"
+        assert report[1].startswith("audit_error: manufactured ")
+        assert report[2:] == ["verdict: fail", "exit_code: 4"]
+
+    @pytest.mark.parametrize(
+        "config,edit,message",
+        [
+            ("boundedness", ("ic", "kind", "spiral"), "[ic]: unknown kind 'spiral'"),
+            ("boundedness", ("ic", "amplitude", "-1"),
+             "[ic]: bases and amplitude must be nonnegative, width positive"),
+            ("boundedness", ("params", "beta", "1e-320"),
+             "[ic]: the equilibrium bases base_u = 0.10761829941563264, base_v = inf "
+             "are not finite; set base_u and base_v"),
+            ("boundedness", ("scenario", "name", "warp"), "[scenario]: unknown scenario 'warp'"),
+            ("boundedness", ("params", "n", "2"), "params n = 2 must match grid dim = 3"),
+            ("convergence-positive-kappa", ("params", "kappa", "-1"),
+             "convergence-positive-kappa requires kappa > 0"),
+            ("convergence-positive-kappa", ("params", "chi", "0"),
+             "convergence-positive-kappa requires chi != 0 (the rate formula "
+             "degenerates without chemotaxis)"),
+            ("convergence-positive-kappa", ("params", "mu", "0.2"),
+             "convergence-positive-kappa requires mu > mu1 = 0.25"),
+            ("decay-zero-kappa", ("params", "kappa", "1"), "decay-zero-kappa requires kappa = 0"),
+            ("decay-negative-kappa", ("params", "kappa", "0"),
+             "decay-negative-kappa requires kappa < 0"),
+            ("decay-zero-kappa", ("scenario", "name", "convex-comparison"),
+             "convex-comparison requires n in {3, 4, 5} (mu0 is defined only there), "
+             "got n = 1"),
+            ("convex-comparison", ("params", "d2", "2"),
+             "convex-comparison requires d1 = d2 and chi > 0"),
+            ("boundedness", ("scenario", "name", "small-diffusion-sweep"),
+             "small-diffusion-sweep requires sweep_axis and sweep_values"),
+            ("boundedness", ("scenario", "name", "manufactured-order"),
+             "manufactured-order requires grids (cell counts)"),
+            ("manufactured-order", ("scenario", "grids", "16 32"),
+             "manufactured-order needs at least 3 grids"),
+        ],
+    )
+    def test_each_config_rule_keeps_its_message(self, tmp_path, capsys, config, edit, message):
+        text = (Path(__file__).parent / "scenarios" / f"{config}.cfg").read_text()
+        text = _set_key(_replace_key(text, "output_dir", tmp_path / "out"), *edit)
+        (tmp_path / "cfg.cfg").write_text(text)
+        assert cli(["simulate", "--config", str(tmp_path / "cfg.cfg")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_n_sweep_off_the_grid_dim_exit_3(self, tmp_path, capsys, command):
         # the 1-D sweep scenario: its points run on its grid, so n stays 1

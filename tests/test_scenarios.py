@@ -1,12 +1,15 @@
-"""Each scenario's canonical coarse-grid config runs end to end, and each
-check of the boundedness audit fails on a run made to break it."""
+"""Each scenario's canonical coarse-grid config runs end to end, each check
+of the boundedness audit and the H check of the convergence audit fail on a
+run made to break them, and a boundedness report states its hypothesis."""
 
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kslab.solver as sv
 from kslab import harness
 from kslab.cli import cli
 from kslab.harness import EXIT_AUDIT, EXIT_PASS, SCENARIOS, parse_config, serialize_config
@@ -65,3 +68,51 @@ def test_boundedness_audit_fails_on_its_check_alone(check, tmp_path, monkeypatch
     assert (result.exit_code, result.outcome) == (EXIT_AUDIT, "completed")
     assert {name: result.report[name] for name in BOUNDEDNESS_CHECKS} == {
         name: name != check for name in BOUNDEDNESS_CHECKS}
+
+
+CONVERGENCE_CHECKS = ("mass_bound_pass", "audit_rate_pass", "H_monotone")
+
+
+def test_convergence_audit_fails_on_H_alone(tmp_path, monkeypatch):
+    # a zero-mean stirring of u, cos(2 pi x) for 0.5 <= t < 1, pushes u away
+    # from its equilibrium, so H grows while it acts; the decay over the
+    # fitted second half of the run still clears gamma (5.8e-4) widely
+    real_run = sv.run
+
+    def stirred_run(*args, **kwargs):
+        def forcing_u(mesh, t):
+            return np.cos(2.0 * np.pi * mesh[0]) * (0.5 <= t < 1.0)
+
+        return real_run(*args, forcing_u=forcing_u, **kwargs)
+
+    monkeypatch.setattr(sv, "run", stirred_run)
+    cfg = parse_config((CONFIGS / "convergence-positive-kappa.cfg").read_text())
+    result = harness.run_scenario(dataclasses.replace(cfg, output_dir=str(tmp_path)))
+    assert (result.exit_code, result.outcome) == (EXIT_AUDIT, "completed")
+    assert {name: result.report[name] for name in CONVERGENCE_CHECKS} == {
+        name: name != "H_monotone" for name in CONVERGENCE_CHECKS}
+    assert result.report["H_worst_increase"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "dim,head",
+    [
+        (3, ["mu0: 7.743416490252567", "mu0_branch: general", "mu_exceeds_mu0: True"]),
+        (2, ["mu0: nan", "mu0_branch: undefined", "mu_exceeds_mu0: undefined"]),
+    ],
+)
+def test_boundedness_report_states_its_hypothesis(dim, head, tmp_path, monkeypatch, capsys):
+    # mu0 is defined for n in {3, 4, 5} only, and n = dim
+    text = (CONFIGS / "boundedness.cfg").read_text()
+    for key, value in {"dim": str(dim), "extents": " ".join("1" * dim),
+                       "cells": " ".join("8" * dim)}.items():
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+    path = tmp_path / "cfg.cfg"
+    path.write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert cli(["simulate", "--config", str(path)]) == EXIT_PASS
+    report = (tmp_path / parse_config(text).output_dir / "report.txt").read_text()
+    assert report.splitlines()[:4] == ["scenario: boundedness"] + head
+    capsys.readouterr()
+    assert cli(["thresholds", "--config", str(path)]) == EXIT_PASS
+    assert capsys.readouterr().out.splitlines()[:3] == head
