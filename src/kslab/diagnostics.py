@@ -195,24 +195,28 @@ class DiagnosticsSeries:
         times = state.t.tolist()
         vol = grid.cell_volume
         for i, (target, p, m) in enumerate(zip(series, params, moments)):
-            row = {
-                "t": times[i], "mass_u": m["u"] * vol,
-                "L2_u": (m["uu"] * vol) ** 0.5, "L3_u": (m["|u|^3"] * vol) ** (1 / 3),
-                "Linf_u": max(u_hi[i], -u_lo[i]), "L2_gradv": (m["g"] * vol) ** 0.5,
-                "L4_gradv": (m["gg"] * vol) ** 0.25, "L6_gradv": (m["ggg"] * vol) ** (1 / 6),
-                "z3": m["z3"] * vol if sets3[i] else math.nan,
-                "H": h.get(i, math.nan), "clamp_count": int(clamp_total[i]),
-                "Linf_v": max(v_hi[i], -v_lo[i]),
-                "dev_linf_u": math.nan, "dev_linf_v": math.nan,
-            }
+            dev_u = dev_v = math.nan
             if p.kappa > 0.0:
                 u_eq = p.kappa / p.mu
                 v_eq = p.alpha * p.kappa / (p.beta * p.mu)
                 # exact: |x - c| over a field peaks at the field's min or max
-                row["dev_linf_u"] = max(u_hi[i] - u_eq, u_eq - u_lo[i])
-                row["dev_linf_v"] = max(v_hi[i] - v_eq, v_eq - v_lo[i])
-            for name, value in row.items():
-                target.columns[name].append(value)
+                dev_u = max(u_hi[i] - u_eq, u_eq - u_lo[i])
+                dev_v = max(v_hi[i] - v_eq, v_eq - v_lo[i])
+            c = target.columns
+            c["t"].append(times[i])
+            c["mass_u"].append(m["u"] * vol)
+            c["L2_u"].append((m["uu"] * vol) ** 0.5)
+            c["L3_u"].append((m["|u|^3"] * vol) ** (1 / 3))
+            c["Linf_u"].append(max(u_hi[i], -u_lo[i]))
+            c["L2_gradv"].append((m["g"] * vol) ** 0.5)
+            c["L4_gradv"].append((m["gg"] * vol) ** 0.25)
+            c["L6_gradv"].append((m["ggg"] * vol) ** (1 / 6))
+            c["z3"].append(m["z3"] * vol if sets3[i] else math.nan)
+            c["H"].append(h.get(i, math.nan))
+            c["clamp_count"].append(int(clamp_total[i]))
+            c["Linf_v"].append(max(v_hi[i], -v_lo[i]))
+            c["dev_linf_u"].append(dev_u)
+            c["dev_linf_v"].append(dev_v)
 
     def column(self, name: str) -> np.ndarray:
         """A copy of the column as floats: a view of the live array would

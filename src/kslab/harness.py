@@ -258,6 +258,8 @@ def _rules(cfg: ExperimentConfig):
     yield f"[scenario]: unknown scenario {name!r}", name in SCENARIOS
     yield (f"params n = {params.n} must match grid dim = {cfg.grid.dim}",
            name == "manufactured-order" or params.n == cfg.grid.dim)
+    if name != "manufactured-order":  # its study sets its own dt, 0.2 h^2
+        yield _solvable(cfg, params)
     if name == "convergence-positive-kappa":
         yield f"{name} requires kappa > 0", params.kappa > 0.0
         yield (f"{name} requires chi != 0 (the rate formula degenerates without "
@@ -280,6 +282,19 @@ def _rules(cfg: ExperimentConfig):
         yield f"{name} needs at least 3 grids", len(cfg.order_grids) >= 3
 
 
+def _solvable(cfg: ExperimentConfig, params: Parameters):
+    """The rule that keeps the implicit diffusion solvable: theta = dt d /
+    h^2, largest at dt_initial, max(d1, d2) and min(h), below 2^52, under
+    which 1 + 2 theta, the line matrix's diagonal, is exact; beyond it the
+    no-flux line matrix rounds to a singular one."""
+    dt, d, h = cfg.solver.dt_initial, max(params.d1, params.d2), min(cfg.grid.spacing)
+    theta = dt * d / (h * h) if h * h else math.inf
+    return (f"[solver] dt_initial = {dt}, [params] d1 = {params.d1}, d2 = {params.d2} and "
+            f"the [grid] spacing {h} give theta = dt_initial max(d1, d2) / min(h)^2 = "
+            f"{theta}, which must lie below 2^52 for the implicit diffusion solve"
+            ), theta < 2.0 ** 52
+
+
 def _validate_sweep_axis(axis: str, values: Tuple[float, ...], cfg: ExperimentConfig):
     if axis not in {f.name for f in dataclasses.fields(Parameters)}:
         raise ConfigError(f"sweep axis {axis!r} is not a parameter field")
@@ -289,9 +304,12 @@ def _validate_sweep_axis(axis: str, values: Tuple[float, ...], cfg: ExperimentCo
         if axis == "n" and value != cfg.grid.dim:  # the points run on cfg's grid
             raise ConfigError(f"sweep value {value}: n must equal grid dim {cfg.grid.dim}")
         try:
-            validate(dataclasses.replace(cfg.params, **{axis: value}))
+            swept = validate(dataclasses.replace(cfg.params, **{axis: value}))
         except ValueError as exc:
             raise ConfigError(f"sweep value {value} inadmissible: {exc}")
+        message, holds = _solvable(cfg, swept)
+        if axis in ("d1", "d2") and not holds:
+            raise ConfigError(f"sweep value {value} inadmissible: {message}")
 
 
 def _render(value) -> str:

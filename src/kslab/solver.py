@@ -16,20 +16,26 @@ advances; run_batch marches a batch in lockstep and alone decides, after
 each step, which points stop and which rows it samples; run is its one-point
 call.  A step streams the grid axes (advection does not depend on dt): each
 axis's face gradient of v, in one workspace stack, gives its extremes to the
-dt budget and its upwind flux to f(u).  A workspace also holds a scratch
-stack and output (u, v) pairs: run_batch keeps one with two pairs that
+dt budget and its upwind flux to f(u).  A workspace also holds scratch
+stacks and output (u, v) pairs: run_batch keeps one with two pairs that
 alternate, so a warm run holds six full-grid stacks and allocates none; step
-alone stays pure.  Where four stacks of two slices of all its points fit in
-_BATCH_ELEMENTS doubles, run_batch buffers its diagnostics samples and takes
-them in one call per buffer; otherwise it samples at once in the workspace's
-two scratch stacks.
+alone stays pure.  Where a step does not split, each pair and the scratch
+are (2, P, *grid.cells) blocks, and one _advance finishes both fields on a
+block's 2 P rows: one dt scaling, one implicit-diffusion call over the
+points' d1 and d2 line inverses, one clamp pass.  A workspace keeps its dt
+column and line inverses while its points' dt does not change.  Where four
+stacks of two slices of all its points fit in _BATCH_ELEMENTS doubles,
+run_batch buffers its diagnostics samples and takes them in one call per
+buffer; otherwise it samples at once in the workspace's two scratch stacks.
 
 A one-point stack of at least _PARALLEL_ELEMENTS doubles steps on the
 caller's thread and a persistent helper thread, with the serial bytes: the
 helper takes the upper half of the planes before dt (_rate_u) and v after
-it.  On one CPU, in KSLAB_WORKERS workers and on smaller grids it runs
-alone, as do stacks of several points: sweeps batch points only within
-_BATCH_ELEMENTS = _PARALLEL_ELEMENTS doubles, so none reaches the split.
+it, each field in its own arrays.  On one CPU, in KSLAB_WORKERS workers and
+on smaller grids it runs alone, as do stacks of several points: sweeps
+batch points only within _BATCH_ELEMENTS = _PARALLEL_ELEMENTS doubles, so
+none reaches the split.  The helper ends before every fork
+(os.register_at_fork), and the next split step starts another.
 """
 
 from __future__ import annotations
@@ -85,7 +91,7 @@ _BATCH_ELEMENTS = 1 << 16
 # One-point stacks of at least this many doubles split a step (split/serial: 64^3 0.79,
 # 32^3 1.06; splitting the phase before dt too: 41^3 0.99, 256^2 1.01, 64^3 0.75).
 _PARALLEL_ELEMENTS = 1 << 16
-_helper = (0, None)  # (pid, task queue): a forked child lacks its parent's thread
+_helper = None  # (task queue, thread) of the split's helper thread, while it runs
 
 
 @dataclass(frozen=True)
@@ -341,46 +347,75 @@ def _column(values: Sequence[float], dim: int):
 
 
 class _Workspace:
-    """Stacks of steps of P points on one grid (face, for one axis's face
-    gradient at a time, and tmp, both dead between steps; the (u, v) output
-    pairs), two planes (seam) for the fluxes below a split step's upper
-    range, and the points' coefficients as _column values."""
+    """Stacks of steps of P points on one grid: face, for one axis's face
+    gradient at a time, and tmp, both dead between steps; the output pairs
+    (u, v, uv); two planes (seam) for the fluxes below a split step's upper
+    range; the points' coefficients as _column values; and the dt list of
+    the last step with its dt column and line inverses, kept while the
+    points' dt is unchanged.
+
+    Where a step does not split (split False: several points, or one below
+    _PARALLEL_ELEMENTS), uv is one (2, P, *grid.cells) block with u and v as
+    its halves, and scratch is one such block, so one _advance finishes both
+    fields on the block's 2 P rows with diffusion, the column of d1 then d2
+    of each point.  A split step advances u and v on two threads, each in
+    its own allocations: uv and scratch are lists of two stacks."""
 
     def __init__(self, params: Sequence[Parameters], sources: Sequence[SourceFunction],
                  grid: Grid, pairs: int):
         shape = (len(params),) + grid.cells
-        self.face = np.empty(shape)
-        self.tmp = np.empty(shape)
-        self.pairs = [(np.empty(shape), np.empty(shape)) for _ in range(pairs)]
+        self.split = len(params) == 1 and math.prod(shape) >= _PARALLEL_ELEMENTS
+
+        def block():  # two stacks: one allocation, or two where a step splits
+            return [np.empty(shape), np.empty(shape)] if self.split else np.empty((2,) + shape)
+
+        self.face, self.tmp = self.scratch = block()
+        self.pairs = [(*uv, uv) for uv in (block() for _ in range(pairs))]
         self.seam = np.empty((2, 1, 1) + grid.cells[1:])
-        for name in ("d1", "d2", "chi", "alpha", "beta"):
+        for name in ("chi", "alpha", "beta"):
             setattr(self, name, _column([getattr(p, name) for p in params], grid.dim))
+        self.diffusion = _column([p.d1 for p in params] + [p.d2 for p in params], grid.dim)
         self.source = replace(sources[0], **{  # f(u) with each point's kappa and mu
             name: _column([getattr(s, name) for s in sources], grid.dim)
             for name in ("kappa", "mu")
         })
         self.advect = bool(np.any(self.chi != 0.0))
+        self.dt = None  # the last step's dt list, dt column and inverses
+
+    def inverses(self, dt: List[float], grid: Grid):
+        """The dt column of the points' dt list and the line inverses of
+        their fields' 2 P rows, u's then v's (_inverses); rebuilt only when
+        dt changes."""
+        if self.dt is None or self.dt[0] != dt:
+            rows = _inverses(self.diffusion, _column(dt * 2, grid.dim), grid, 2 * len(dt))
+            self.dt = (dt, _column(dt, grid.dim), rows)
+        return self.dt[1:]
 
 
 ForcingFn = Callable[[Tuple[np.ndarray, ...], float], np.ndarray]
 
 
 def _advance(new, old, forcing, inverses, dt, t, mesh, grid: Grid, tmp):
-    """Finish one field's step in new, its rate without forcing, in place;
-    returns each point's clamped cells and peak."""
-    if forcing is not None:
-        for row, s in zip(new, t):
-            row += forcing(mesh, s)
+    """Finish the step of the F fields stacked in new, (F, P, *grid.cells),
+    each holding its rate without forcing, in place: one entry of old and
+    forcing per field, inverses for the F P rows in order, and tmp a
+    contiguous scratch of new's size.  Returns each point's clamped cells,
+    summed over the fields, and each field's peaks, (F, P)."""
+    for field, force in zip(new, forcing):
+        if force is not None:
+            for row, s in zip(field, t):
+                row += force(mesh, s)
     new *= dt
-    new += old
+    for field, before in zip(new, old):
+        field += before
     _implicit_diffusion(new, inverses, grid, tmp)
-    rows = new.reshape(len(new), -1)
+    rows = new.reshape(new.shape[0] * new.shape[1], -1)
     low = rows.min(axis=1)  # NaN: the point's clamps are still counted
     clamped = 0 if (low >= -CLAMP_TOLERANCE).all() else np.count_nonzero(
-        rows < -CLAMP_TOLERANCE, axis=1)
+        rows < -CLAMP_TOLERANCE, axis=1).reshape(len(new), -1).sum(axis=0)
     for row in np.flatnonzero(low < 0.0):  # not at a NaN: such a point keeps its values
-        np.maximum(new[row], 0.0, out=new[row])
-    return clamped, rows.max(axis=1)
+        np.maximum(rows[row], 0.0, out=rows[row])
+    return clamped, rows.max(axis=1).reshape(len(new), -1)
 
 
 def _rate_u(u, v, rate, work: _Workspace, grid: Grid, planes) -> list:
@@ -430,17 +465,18 @@ def _split(theirs, mine, alone):
     when mine raises, and its exception re-raises here."""
     global _helper
     mp = sys.modules.get("multiprocessing")
-    if not theirs or _helper[0] != os.getpid() and (  # serial if the CPUs are unknown
+    if not theirs or _helper is None and (  # serial if the CPUs are unknown
             len(getattr(os, "sched_getaffinity", lambda pid: [0])(0)) < 2
             or (mp and mp.parent_process())):
         return alone(), None
     import queue  # not at module import: it costs 0.2 MiB in every process
-    if _helper[0] != os.getpid():  # registered once started: start() may raise
+    if _helper is None:  # registered once started: start() may raise
         tasks = queue.SimpleQueue()
-        threading.Thread(target=_serve, args=(tasks,), daemon=True).start()
-        _helper = (os.getpid(), tasks)
+        thread = threading.Thread(target=_serve, args=(tasks,), daemon=True)
+        thread.start()
+        _helper = (tasks, thread)
     done = queue.SimpleQueue()
-    _helper[1].put((dict(np.geterr(), call=np.geterrcall()), theirs, done))
+    _helper[0].put((dict(np.geterr(), call=np.geterrcall()), theirs, done))
     try:
         result = mine()
     finally:
@@ -448,6 +484,22 @@ def _split(theirs, mine, alone):
     if isinstance(other, BaseException):
         raise other
     return result, other
+
+
+def _stop_helper() -> None:
+    """End the helper thread, before a fork: the child would lack it, and
+    the parent then forks with no thread of kslab's (Python >= 3.12 warns
+    when a process with threads forks).  The next split step starts
+    another."""
+    global _helper
+    if _helper is not None:
+        (tasks, thread), _helper = _helper, None
+        tasks.put(None)
+        thread.join()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=_stop_helper)
 
 
 def step(
@@ -470,15 +522,17 @@ def step(
     past t_end), whatever dt is; whether a point stops is run_batch's
     decision.  run_batch passes its workspace, made for the same points, as
     work, and the result lives in the pair not holding state.u until the
-    step after next; without work the result is in fresh arrays.  A split
-    step reports a floating-point error before dt once per thread.
+    step after next; without work the result is in fresh arrays.  A step
+    that does not split advances u and v as the two halves of one block
+    (_Workspace); a split step advances them on two threads, and reports a
+    floating-point error before dt once per thread.
     """
     u, v = state.u, state.v
     work = work or _Workspace(params, source, grid, pairs=1)
-    new_u, new_v = next(pair for pair in work.pairs if pair[0] is not u)
-    split, n0 = len(u) == 1 and u.size >= _PARALLEL_ELEMENTS, grid.cells[0]
+    new_u, new_v, new = next(pair for pair in work.pairs if pair[0] is not u)
+    n0 = grid.cells[0]
     rate_u = partial(_rate_u, u, v, new_u, work, grid)
-    extremes, upper = _split(split and partial(rate_u, (n0 // 2, n0)),
+    extremes, upper = _split(work.split and partial(rate_u, (n0 // 2, n0)),
                              partial(rate_u, (0, n0 // 2)), partial(rate_u, (0, len(u) * n0)))
     if upper:  # a min of mins is exact
         extremes = [(np.minimum(lo, lo2), np.maximum(hi, hi2))
@@ -487,21 +541,31 @@ def step(
     t = state.t.tolist()
     dt = [min(d, cfg.t_end - s) if cfg.t_end - s > 0.0 else d
           for d, s in zip(dt_cfl.tolist(), t)]
-    dt_column = _column(dt, grid.dim)
+    dt_column, inverses = work.inverses(dt, grid)
     if mesh is None and (forcing_u or forcing_v):
         mesh = grid.meshgrid()
-    inv_u, inv_v = (_inverses(coef, dt_column, grid, len(u)) for coef in (work.d1, work.d2))
 
-    def advance_v():  # work.face is dead once the last axis is advected
-        np.multiply(v, -work.beta, out=new_v)
-        np.add(new_v, np.multiply(u, work.alpha, out=work.face), out=new_v)
-        return _advance(new_v, v, forcing_v, inv_v, dt_column, t, mesh, grid, work.face)
+    def rate_v(out):  # work.face is dead once the last axis is advected
+        np.multiply(v, -work.beta, out=out)
+        np.add(out, np.multiply(u, work.alpha, out=work.face), out=out)
 
-    advance_u = partial(_advance, new_u, u, forcing_u, inv_u, dt_column, t, mesh, grid, work.tmp)
-    (clamped_u, peak_u), half_v = _split(split and advance_v, advance_u, advance_u)
-    clamped_v, peak_v = half_v or advance_v()
-    info = StepInfo(dt=dt_cfl, clamped=np.zeros(len(u), dtype=int) + clamped_u + clamped_v,
-                    peaks=(peak_u, peak_v))
+    if not work.split:  # one advance of both fields' rows
+        rate_v(new_v)
+        clamped, peaks = _advance(new, (u, v), (forcing_u, forcing_v), inverses,
+                                  dt_column, t, mesh, grid, work.scratch)
+    else:  # one point: row 0 of each axis's inverses is u's, row 1 v's
+        def advance_v():
+            rate_v(new_v)
+            return _advance(new_v[None], (v,), (forcing_v,), [i[1:] for i in inverses],
+                            dt_column, t, mesh, grid, work.face)
+
+        advance_u = partial(_advance, new_u[None], (u,), (forcing_u,),
+                            [i[:1] for i in inverses], dt_column, t, mesh, grid, work.tmp)
+        (clamped_u, peak_u), half_v = _split(advance_v, advance_u, advance_u)
+        clamped_v, peak_v = half_v or advance_v()
+        clamped, peaks = clamped_u + clamped_v, (peak_u[0], peak_v[0])
+    info = StepInfo(dt=dt_cfl, clamped=np.zeros(len(u), dtype=int) + clamped,
+                    peaks=tuple(peaks))
     return State(u=new_u, v=new_v, t=np.array([s + d for s, d in zip(t, dt)])), info
 
 
@@ -532,7 +596,7 @@ class _Batch:
         self.params = [params[i] for i in points]
         self.sources = [sources[i] for i in points]
         self.work = _Workspace(self.params, self.sources, grid, pairs=2)
-        u, v = self.work.pairs[0]
+        u, v, _ = self.work.pairs[0]
         for row, (field_u, field_v) in enumerate(fields):
             u[row], v[row] = field_u, field_v
         self.state = State(u=u, v=v, t=t)

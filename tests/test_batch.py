@@ -10,9 +10,11 @@ import collections
 import contextlib
 import dataclasses
 import math
+import os
 import sys
 import threading
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -382,14 +384,51 @@ def test_helper_that_cannot_start_is_not_kept(monkeypatch):
         start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", start_once_refused)
-    monkeypatch.setattr(sv, "_helper", (0, None))
+    monkeypatch.setattr(sv, "_helper", None)
     with threaded() as helper:
         with pytest.raises(RuntimeError, match="can't start new thread"):
             run(state, p, source, grid, cfg)
-        assert sv._helper == (0, None)
+        assert sv._helper is None
         assert run(state, p, source, grid, cfg).outcome == OUTCOME_COMPLETED
-    assert len(helper.advance) == 10 and sv._helper[1] is not None
-    sv._helper[1].put(None)  # ends this test's helper thread
+    assert len(helper.advance) == 10 and sv._helper is not None
+    sv._stop_helper()  # ends this test's helper thread
+
+
+def fork_warnings():
+    """Fork a child that exits at once; the warnings that the fork gives."""
+    with warnings.catch_warnings(record=True) as heard:
+        warnings.simplefilter("always")
+        pid = os.fork()
+        if not pid:
+            os._exit(0)
+    assert os.waitpid(pid, 0)[1] == 0
+    return [str(w.message) for w in heard]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+def test_fork_after_a_split_step_ends_the_helper_first():
+    """The helper thread ends before a fork, so the parent forks with its
+    one thread, and the fork warns no more than one before any split step
+    (Python >= 3.12 warns when a process with threads forks, including
+    native ones such as BLAS threads); the next split step starts another
+    helper and gives the serial bytes."""
+    grid = Grid(dim=1, extents=(1.0,), cells=(8,))
+    p = Parameters(d1=1.0, d2=1.0, chi=1.0, alpha=1.0, beta=1.0, kappa=1.0, mu=2.0, n=1)
+    source = SourceFunction.standard_logistic(p.kappa, p.mu)
+    state = State(u=np.full(8, 2.0), v=np.ones(8), t=0.0)
+    cfg = SolverConfig(dt_initial=1e-3, t_end=0.01)
+    serial = run(state, p, source, grid, cfg)
+    sv._stop_helper()
+    unsplit = fork_warnings()
+    with threaded() as helper:
+        run(state, p, source, grid, cfg)
+        assert sv._helper is not None and threading.active_count() == 2
+        assert fork_warnings() == unsplit
+        assert threading.active_count() == 1 and sv._helper is None
+        split = run(state, p, source, grid, cfg)
+    assert len(helper.advance) == 20 and sv._helper is not None
+    assert_same_run(split, serial)
+    sv._stop_helper()  # ends this test's helper thread
 
 
 def mixed_d1_batch():
@@ -458,6 +497,26 @@ def test_stacked_inverses_built_once_per_theta(monkeypatch):
         assert not helper.advance and not helper.rate
         assert max(builds.values()) == 1
         assert len(builds) <= 2 * 17  # a shortened last step brings its own thetas
+
+
+def test_inverses_are_kept_while_dt_holds(monkeypatch):
+    """The 50 steps of mixed_d1_batch take dt_initial but for the last one,
+    shortened to t_end: the workspace asks for line inverses only when the
+    points' dt changes, with the same trajectories."""
+    calls = []
+    inverses = sv._inverses
+
+    def counted(*args):
+        calls.append(args[-1])
+        return inverses(*args)
+
+    want = run_batch(*mixed_d1_batch())
+    monkeypatch.setattr(sv, "_inverses", counted)
+    got = run_batch(*mixed_d1_batch())
+    assert [t.steps for t in got] == [50] * 16
+    assert 1 <= len(calls) <= 2 and set(calls) == {32}  # one call for both fields' rows
+    for a, b in zip(got, want):
+        assert_same_run(a, b)
 
 
 def test_stopped_point_leaves_the_stack():

@@ -491,7 +491,7 @@ os.sched_getaffinity = lambda pid: {{0, 1}}
 p = Parameters(d1=1.0, d2=1.0, chi=1.0, alpha=1.0, beta=1.0, kappa=1.0, mu=2.0, n=1)
 sv.run(State(u=np.ones(8), v=np.ones(8), t=0.0), p, SourceFunction.standard_logistic(1.0, 2.0),
        Grid(dim=1, extents=(1.0,), cells=(8,)), sv.SolverConfig(t_end=0.05))
-assert sv._helper[0] == os.getpid()
+assert sv._helper is not None
 sv.threading = None
 os.environ["KSLAB_WORKERS"] = "2"
 run_sweep(parse_config(open(sys.argv[1]).read()), "d1", {values!r})
@@ -657,6 +657,40 @@ class TestCli:
         (tmp_path / "cfg.cfg").write_text(text)
         assert cli(["simulate", "--config", str(tmp_path / "cfg.cfg")]) == EXIT_CONFIG
         assert "config error: [ic]: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config,edit,theta",
+        [
+            ("decay-zero-kappa", ("params", "d1", "1e16"), "1.28e+17"),
+            ("boundedness", ("params", "d2", "1e30"), "3.2000000000000003e+30"),
+            ("boundedness", ("grid", "extents", "1e-29 1e-29 1e-29"), "3.2000000000000007e+58"),
+            ("decay-zero-kappa", ("params", "d1", "1e14"), None),  # theta = 1.28e15 runs
+        ],
+    )
+    def test_singular_implicit_solve_exit_3(self, tmp_path, capsys, config, edit, theta):
+        # past theta = 2^52, 1 + 2 theta rounds and the line matrix is singular
+        text = (Path(__file__).parent / "scenarios" / f"{config}.cfg").read_text()
+        text = _set_key(_replace_key(text, "output_dir", tmp_path / "out"), *edit)
+        (tmp_path / "cfg.cfg").write_text(text)
+        code = cli(["simulate", "--config", str(tmp_path / "cfg.cfg")])
+        if theta is None:
+            assert code == EXIT_PASS
+            return
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [solver] dt_initial = 0.05, [params] d1 = ")
+        assert "and the [grid] spacing " in err
+        assert f"max(d1, d2) / min(h)^2 = {theta}, which must lie below 2^52" in err
+
+    @pytest.mark.parametrize("axis", ["d1", "d2"])
+    def test_singular_sweep_value_exit_3(self, tmp_path, capsys, axis):
+        path = tmp_path / "cfg.cfg"
+        path.write_text(one_d_cfg(tmp_path))
+        argv = ["sweep", "--config", str(path), "--axis", axis, "--values", "1,1e16"]
+        assert cli(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sweep value 1e+16 inadmissible: [solver] dt_initial")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("grids", ["0 0 0", "2 4 8", "16 32 64 -1"])
     def test_order_grids_below_4_cells_exit_3(self, tmp_path, capsys, grids):
