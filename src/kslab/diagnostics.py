@@ -1,11 +1,11 @@
 """Norms, coupled functionals, Lyapunov monitoring, and decay-rate fits.
 
-All quadrature is the midpoint rule on cell-centered fields; gradients of
-the signal are reconstructed from face differences so the monitored
-functionals see exactly the discrete fields the solver evolves.  The
-coupled functional sampled is the paper's z3 (n = 3); the 4/5-D sets of the
-thresholds layer concern domains that no 1- to 3-D grid holds, so no run
-samples them.
+All quadrature is the midpoint rule on cell-centered fields; the sampled
+|grad v|^2 is grad_magnitude_squared's central difference, not the solver's
+face gradients, so it reads 0 inside a checkerboard of v, which the faces
+see.  The coupled functional sampled is the paper's z3 (n = 3); the 4/5-D
+sets of the thresholds layer concern domains that no 1- to 3-D grid holds,
+so no run samples them.
 """
 
 from __future__ import annotations

@@ -260,6 +260,7 @@ def _rules(cfg: ExperimentConfig):
            name == "manufactured-order" or params.n == cfg.grid.dim)
     if name != "manufactured-order":  # its study sets its own dt, 0.2 h^2
         yield _solvable(cfg, params)
+        yield _bounded_steps(cfg, cfg.solver.dt_initial, "dt_initial")
     if name == "convergence-positive-kappa":
         yield f"{name} requires kappa > 0", params.kappa > 0.0
         yield (f"{name} requires chi != 0 (the rate formula degenerates without "
@@ -280,6 +281,11 @@ def _rules(cfg: ExperimentConfig):
     elif name == "manufactured-order":
         yield f"{name} requires grids (cell counts)", bool(cfg.order_grids)
         yield f"{name} needs at least 3 grids", len(cfg.order_grids) >= 3
+        theta = 0.2 * max(params.d1, params.d2)  # its dt is 0.2 h^2
+        yield (f"{name}: [params] d1 = {params.d1}, d2 = {params.d2} give theta = 0.2 "
+               f"max(d1, d2) = {theta}, which must lie below 2^52"), theta < 2.0 ** 52
+        h = cfg.grid.extents[0] / max(*cfg.order_grids, 4)  # below 4 cells fails later
+        yield _bounded_steps(cfg, 0.2 * h * h, "the finest grid's dt = 0.2 h^2")
 
 
 def _solvable(cfg: ExperimentConfig, params: Parameters):
@@ -293,6 +299,15 @@ def _solvable(cfg: ExperimentConfig, params: Parameters):
             f"the [grid] spacing {h} give theta = dt_initial max(d1, d2) / min(h)^2 = "
             f"{theta}, which must lie below 2^52 for the implicit diffusion solve"
             ), theta < 2.0 ** 52
+
+
+def _bounded_steps(cfg: ExperimentConfig, dt: float, name: str):
+    """The rule that bounds a run's step count: t_end / dt, dt its largest
+    step, at most 2^24, three orders above the longest canonical or
+    benchmark run (5,120 steps).  A CFL-limited run may take more."""
+    steps = cfg.solver.t_end / dt if dt > 0.0 else math.inf
+    return (f"[solver] t_end = {cfg.solver.t_end} and {name} = {dt} ask for "
+            f"{steps} steps, more than 2^24"), steps <= 2 ** 24
 
 
 def _validate_sweep_axis(axis: str, values: Tuple[float, ...], cfg: ExperimentConfig):

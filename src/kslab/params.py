@@ -59,6 +59,9 @@ def validate(params: Parameters) -> Parameters:
     for name in ("chi", "kappa"):
         if not np.isfinite(getattr(params, name)):
             raise ValueError(f"{name} must be finite")
+    if params.chi != 0.0 and not sys.float_info.min <= params.chi * params.chi < np.inf:
+        raise ValueError(f"chi = {params.chi} must be 0 or have a finite normal square, "
+                         f"got chi*chi = {params.chi * params.chi}")
     if params.kappa > 0.0 and params.kappa / params.mu < sys.float_info.min:
         raise ValueError(
             f"equilibrium kappa/mu = {params.kappa}/{params.mu} is below the "
@@ -141,6 +144,8 @@ class Grid:
             raise ValueError("need at least 4 cells per axis")
         object.__setattr__(self, "extents", tuple(float(e) for e in self.extents))
         object.__setattr__(self, "cells", tuple(int(c) for c in self.cells))
+        if any((e / c) * (e / c) == np.inf for e, c in zip(self.extents, self.cells)):
+            raise ValueError(f"extents {self.extents} give a spacing h whose h*h overflows")
 
     # computed once per grid; the cache lives outside the compared fields
     @cached_property

@@ -1,5 +1,6 @@
 """Public names resolve, removed names stay gone, and removed config keys
-fail by name."""
+fail by name.  In fresh interpreters, a step and a run that split over two
+CPUs give the bytes of the serial ones on one CPU."""
 
 import ast
 import dataclasses
@@ -84,14 +85,20 @@ def test_import_starts_no_thread():
     assert fresh_interpreter(probe + "print(threading.active_count() - n)") == "0"
 
 
-# one step of a 256^2 bump, on one CPU or (even where there is one) on two
-ONE_STEP = """
-import hashlib, os, sys, threading
-import numpy as np
+# a fresh interpreter on one CPU for argv[1] == "1", else on two (even where
+# there is one)
+AFFINITY = """
+import os, sys
 if sys.argv[1] == "1":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 else:
     os.sched_getaffinity = lambda pid: {0, 1}
+"""
+
+# one step of a 256^2 bump
+ONE_STEP = AFFINITY + """
+import hashlib, threading
+import numpy as np
 import kslab.solver as sv
 from kslab.params import Grid, Parameters, SourceFunction, State
 grid = Grid(dim=2, extents=(1.0, 1.0), cells=(256, 256))
@@ -109,6 +116,68 @@ def test_one_cpu_starts_no_helper_and_gives_the_split_bytes():
     one = fresh_interpreter(ONE_STEP, "1").split()
     two = fresh_interpreter(ONE_STEP, "2").split()
     assert (one[0], two[0]) == ("1", "2") and one[1] == two[1]
+
+
+# a 49 x 48 x 47 boundedness run in directory argv[2], above
+# solver._PARALLEL_ELEMENTS: on one CPU its steps run serially, on two each
+# step's pre-dt half splits its planes at 24 (an odd first axis, three
+# unequal strides) and v steps on the helper thread
+SPLIT_RUN = AFFINITY + """
+import contextlib, threading
+from kslab.cli import cli
+os.chdir(sys.argv[2])
+with contextlib.redirect_stdout(sys.stderr):
+    code = cli(["simulate", "--config", sys.argv[3]])
+print(code, threading.active_count())
+"""
+SPLIT_CFG = """
+[params]
+d1 = 1.0
+d2 = 1.0
+chi = 1.0
+alpha = 1.0
+beta = 1.0
+kappa = 1.0
+mu = 9.2921
+n = 3
+
+[grid]
+dim = 3
+extents = 1 1 1
+cells = 49 48 47
+
+[solver]
+dt_initial = 0.01
+t_end = 0.2
+snapshot_stride = 5
+
+[ic]
+kind = gaussian-bump
+amplitude = 1.9
+width = 0.1
+
+[scenario]
+name = boundedness
+output_dir = out
+"""
+
+
+def output_files(root):
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_split_run_writes_the_serial_run_bytes(tmp_path):
+    config = tmp_path / "split-3d.cfg"
+    config.write_text(SPLIT_CFG)
+    printed = {}
+    for cpus in ("1", "2"):
+        (tmp_path / cpus).mkdir()
+        printed[cpus] = fresh_interpreter(SPLIT_RUN, cpus, str(tmp_path / cpus), str(config))
+    assert printed == {"1": "0 1", "2": "0 2"}  # both pass; only the second splits
+    serial = output_files(tmp_path / "1")
+    assert len(serial) == 10 and output_files(tmp_path / "2") == serial
 
 
 @pytest.mark.parametrize(

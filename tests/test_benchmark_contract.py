@@ -3,12 +3,16 @@ prepared, executed and collected in process as the benchmark's worker does,
 passes the benchmark's correctness gate.  The gate reads `steps` and
 `clamp_total` from report.txt, the row count and the last `mass_u` and `z3`
 of diagnostics.csv and the rows of summary.csv, so a change to those
-outputs fails here first."""
+outputs fails here first.  Every feasibility floor of the thresholds-45d pool
+equals its reference bit for bit, where the gate compares two of them."""
 
 import json
 from pathlib import Path
 
 import pytest
+
+from kslab.params import Parameters
+from kslab.thresholds import feasibility_floor_45d
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -26,3 +30,11 @@ def test_seed_1_passes_the_gate(workload, tmp_path, monkeypatch):
     checked = gate.check(workload, results, pool)
     assert len(checked) == gate.op_count(workload)
     assert [(label, failures) for label, failures in checked if failures] == []
+
+
+def test_every_pool_floor_equals_its_reference():
+    pool = json.loads((BENCHMARKS / "reference.json").read_text())["thresholds-45d"]
+    floors = [repr(feasibility_floor_45d(Parameters(**entry["input"]["params"])))
+              for entry in pool]
+    assert len(pool) == 48
+    assert floors == [repr(entry["expect"]["floor"]) for entry in pool]

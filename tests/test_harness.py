@@ -749,6 +749,23 @@ class TestCli:
              "manufactured-order requires grids (cell counts)"),
             ("manufactured-order", ("scenario", "grids", "16 32"),
              "manufactured-order needs at least 3 grids"),
+            ("boundedness", ("params", "chi", "1e-300"),
+             "[params]: chi = 1e-300 must be 0 or have a finite normal square, got chi*chi = 0.0"),
+            ("manufactured-order", ("params", "chi", "1e308"),
+             "[params]: chi = 1e+308 must be 0 or have a finite normal square, got chi*chi = inf"),
+            ("decay-zero-kappa", ("grid", "extents", "1e300"),
+             "[grid]: extents (1e+300,) give a spacing h whose h*h overflows"),
+            ("manufactured-order", ("grid", "extents", "1e300"),
+             "[grid]: extents (1e+300,) give a spacing h whose h*h overflows"),
+            ("manufactured-order", ("params", "d1", "1e17"),
+             "manufactured-order: [params] d1 = 1e+17, d2 = 1.0 give theta = 0.2 max(d1, d2) "
+             "= 2e+16, which must lie below 2^52"),
+            ("boundedness", ("solver", "t_end", "1e9"),
+             "[solver] t_end = 1000000000.0 and dt_initial = 0.05 ask for 20000000000.0 "
+             "steps, more than 2^24"),
+            ("manufactured-order", ("solver", "t_end", "1e9"),
+             "[solver] t_end = 1000000000.0 and the finest grid's dt = 0.2 h^2 = "
+             "4.8828125e-05 ask for 20480000000000.0 steps, more than 2^24"),
         ],
     )
     def test_each_config_rule_keeps_its_message(self, tmp_path, capsys, config, edit, message):
@@ -757,6 +774,17 @@ class TestCli:
         (tmp_path / "cfg.cfg").write_text(text)
         assert cli(["simulate", "--config", str(tmp_path / "cfg.cfg")]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_nonpositive_dt_initial_exit_3(self, tmp_path, capsys):
+        # dt_min < dt_initial = 0 passes SolverConfig, and such a run never ended
+        text = (Path(__file__).parent / "scenarios" / "decay-zero-kappa.cfg").read_text()
+        text = _replace_key(text, "output_dir", tmp_path / "out")
+        text = _set_key(_set_key(text, "solver", "dt_min", "-1"), "solver", "dt_initial", "0")
+        (tmp_path / "cfg.cfg").write_text(text)
+        assert cli(["simulate", "--config", str(tmp_path / "cfg.cfg")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: [solver] t_end = 20.0 and dt_initial = 0.0 ask for inf steps, "
+            "more than 2^24\n")
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_n_sweep_off_the_grid_dim_exit_3(self, tmp_path, capsys, command):

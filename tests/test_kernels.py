@@ -41,7 +41,7 @@ def problems(draw):
     )
     try:
         validate(params)
-    except ValueError:  # a subnormal kappa/mu, which no config reaches
+    except ValueError:  # a subnormal kappa/mu or chi*chi, which no config reaches
         reject()
     fields = arrays(float, cells, elements=hs.floats(0.0, 10.0))
     grid = Grid(dim=dim, extents=extents, cells=cells)

@@ -30,6 +30,8 @@ class TestValidate:
             ("beta", 0.0, "beta must be positive"),
             ("n", 0, "n must be a positive integer"),
             ("kappa", 1e-307, "kappa/mu = 1e-307/8 is below the smallest normal"),
+            ("chi", 1e-160, r"chi = 1e-160 must be 0 or have a finite normal square"),
+            ("chi", -1e160, r"chi = -1e\+160 must be 0 or have a finite normal square"),
         ],
     )
     def test_rejections(self, field, value, message):
@@ -48,8 +50,10 @@ class TestValidate:
     )
     @settings(max_examples=50, deadline=None)
     def test_idempotent(self, d1, d2, chi, kappa, mu):
-        # rejected, see above; a positive kappa/mu can also round to 0
+        # rejected, see above; a positive kappa/mu can also round to 0, and a
+        # nonzero chi*chi to a subnormal
         assume(not (kappa > 0.0 and kappa / mu < sys.float_info.min))
+        assume(chi == 0.0 or chi * chi >= sys.float_info.min)
         p = make_params(d1=d1, d2=d2, chi=chi, kappa=kappa, mu=mu)
         assert validate(validate(p)) == validate(p)
 
