@@ -82,7 +82,6 @@ class ExperimentConfig:
     seed: int = 0
     sweep_axis: Optional[str] = None
     sweep_values: Optional[Tuple[float, ...]] = None
-    order_grids: Optional[Tuple[int, ...]] = None
 
 
 def _number(value: str) -> float:
@@ -122,18 +121,17 @@ def _list_of(convert, noun: str):
 
 
 _numbers = _list_of(_number, "numbers")
-_integers = _list_of(_integer, "integers")
 
 # The config schema, section -> {key: converter}, in file order.  Keys are
 # the field names of the section's dataclass (the scenario section fills
-# ExperimentConfig, under the two renamed keys of _FIELD); defaults and
+# ExperimentConfig, its name key renamed by _FIELD); defaults and
 # required keys (fields without a default) come from those dataclasses.
 _SCHEMA = {
     "params": {
         **dict.fromkeys(("d1", "d2", "chi", "alpha", "beta", "kappa", "mu"), _number),
         "n": _integer,
     },
-    "grid": {"dim": _integer, "extents": _numbers, "cells": _integers},
+    "grid": {"dim": _integer, "extents": _numbers, "cells": _list_of(_integer, "integers")},
     "solver": {
         **dict.fromkeys(
             ("dt_initial", "dt_min", "t_end", "cfl_safety", "blowup_linf_threshold"),
@@ -144,10 +142,10 @@ _SCHEMA = {
     "ic": {"kind": str, **dict.fromkeys(("base_u", "base_v", "amplitude", "width"), _number)},
     "scenario": {
         "name": str, "convex": _boolean, "output_dir": str, "seed": _integer,
-        "sweep_axis": str, "sweep_values": _numbers, "grids": _integers,
+        "sweep_axis": str, "sweep_values": _numbers,
     },
 }
-_FIELD = {"name": "scenario", "grids": "order_grids"}
+_FIELD = {"name": "scenario"}
 _TYPES = {
     "params": Parameters, "grid": Grid, "solver": sv.SolverConfig,
     "ic": ICSpec, "scenario": ExperimentConfig,
@@ -256,8 +254,7 @@ def _rules(cfg: ExperimentConfig):
         "are not finite; set base_u and base_v"
     ), math.isfinite(ic.base_u) and math.isfinite(ic.base_v)
     yield f"[scenario]: unknown scenario {name!r}", name in SCENARIOS
-    yield (f"params n = {params.n} must match grid dim = {cfg.grid.dim}",
-           name == "manufactured-order" or params.n == cfg.grid.dim)
+    yield f"params n = {params.n} must match grid dim = {cfg.grid.dim}", params.n == cfg.grid.dim
     if name != "manufactured-order":  # its study sets its own dt, 0.2 h^2
         yield _solvable(cfg, params)
         yield _bounded_steps(cfg, cfg.solver.dt_initial, "dt_initial")
@@ -278,13 +275,11 @@ def _rules(cfg: ExperimentConfig):
     elif name == "small-diffusion-sweep":
         yield (f"{name} requires sweep_axis and sweep_values",
                bool(cfg.sweep_axis and cfg.sweep_values))
-    elif name == "manufactured-order":
-        yield f"{name} requires grids (cell counts)", bool(cfg.order_grids)
-        yield f"{name} needs at least 3 grids", len(cfg.order_grids) >= 3
+    elif name == "manufactured-order":  # refined to 4 times cfg's cells per axis
         theta = 0.2 * max(params.d1, params.d2)  # its dt is 0.2 h^2
         yield (f"{name}: [params] d1 = {params.d1}, d2 = {params.d2} give theta = 0.2 "
                f"max(d1, d2) = {theta}, which must lie below 2^52"), theta < 2.0 ** 52
-        h = cfg.grid.extents[0] / max(*cfg.order_grids, 4)  # below 4 cells fails later
+        h = min(cfg.grid.spacing) / 4
         yield _bounded_steps(cfg, 0.2 * h * h, "the finest grid's dt = 0.2 h^2")
 
 
@@ -512,14 +507,11 @@ def _order_scenario(cfg, lines) -> bool:
         else SourceFunction.standard_logistic(cfg.params.kappa, cfg.params.mu)
     )
     try:
-        grids = [Grid(dim=1, extents=cfg.grid.extents[:1], cells=(c,)) for c in cfg.order_grids]
-        result = sv.refinement_study(cfg.params, source, grids, t_end=cfg.solver.t_end)
-    except ValueError as exc:
-        raise ConfigError(f"[scenario] grids: {exc}")
+        result = sv.refinement_study(cfg.params, source, cfg.grid, t_end=cfg.solver.t_end)
     except RuntimeError as exc:  # a run that did not complete, or errors with no order
         lines["audit_error"] = str(exc)
         return False
-    lines["cells"] = " ".join(str(c) for c in result.cells)
+    lines["cells"] = " ".join("x".join(map(str, cells)) for cells in result.cells)
     lines["errors"] = " ".join("%.6e" % e for e in result.errors)
     lines["orders"] = " ".join("%.4f" % o for o in result.orders)
     lines["observed_order"] = result.observed_order
@@ -651,7 +643,8 @@ def _sweep_result(row, params: Parameters, report, traj, point_dir: Path) -> Non
 
 def _sweep_workers(setting: Optional[str], points: int, cpus: int) -> int:
     """Sweep worker count from the KSLAB_WORKERS setting (None when unset:
-    serial), capped at the CPU count and the number of points."""
+    serial), capped at cpus, the CPUs that the sweep may use, and at the
+    number of points."""
     if setting is None:
         return 1
     if not setting.strip().isdecimal() or int(setting) < 1:
@@ -669,13 +662,14 @@ def run_sweep(
     The points march in lockstep batches (sv.run_batch) under a fixed
     budget of stacked elements, sv._BATCH_ELEMENTS, with outputs identical to
     solo runs.  With KSLAB_WORKERS set (default: serial), up to that many
-    processes each take a contiguous chunk of the points.  Per-point
+    processes, and no more than the CPUs of this process's affinity mask,
+    each take a contiguous chunk of the points.  Per-point
     failures, in set-up, run or output, land in the row's error column.
     """
     _validate_sweep_axis(axis, values, base)
-    workers = _sweep_workers(
-        os.environ.get("KSLAB_WORKERS"), len(values), os.cpu_count() or 1
-    )
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)  # the CPUs this process may run on
+    workers = _sweep_workers(os.environ.get("KSLAB_WORKERS"), len(values), cpus)
     out = _output_dir(base)
     points = list(enumerate(values))
     bounds = [len(points) * k // workers for k in range(workers + 1)]

@@ -775,47 +775,49 @@ def run_batch(
 # ---------------------------------------------------------------------------
 
 
-def manufactured_problem(params: Parameters, source: SourceFunction):
-    """1-D manufactured pair u* = v* = 2 + cos(pi x) e^{-t}.
+def manufactured_problem(params: Parameters, source: SourceFunction, grid: Grid):
+    """The manufactured pair u* = v* = 2 + e^{-t} prod_i cos(k_i x_i) on
+    grid's box, with k_i = (i + 1) pi / L_i for the side L_i of axis i.
 
-    Both fields have zero normal derivative at x = 0 and x = 1 and are
-    mirror-symmetric across the boundaries, so the ghost closure is exact
-    for them.  Returns (exact_u, exact_v, forcing_u, forcing_v) with the
-    forcings chosen so the pair solves the forced system exactly.
+    Each factor has zero derivative at x_i = 0 and x_i = L_i and is
+    mirror-symmetric across both, so the no-flux ghost closure is exact for
+    the pair on any extents; each axis holds its own mode, so a fault on one
+    axis is not cancelled by another.  Returns (exact, forcing_u,
+    forcing_v): exact(mesh, t) gives the pair, and the forcings make it an
+    exact solution of the forced system.
     """
-    pi = math.pi
+    k = [(axis + 1) * math.pi / side for axis, side in enumerate(grid.extents)]
+    k2 = sum(ki * ki for ki in k)
     d1, d2, chi = params.d1, params.d2, params.chi
     alpha, beta = params.alpha, params.beta
 
-    def profile(x, t):
-        return 2.0 + np.cos(pi * x) * math.exp(-t)
+    def modes(mesh, t):  # c = u* - 2 and its factors, cos(k_i x_i)
+        cos = [np.cos(ki * x) for ki, x in zip(k, mesh)]
+        return math.exp(-t) * math.prod(cos), cos
 
     def exact(mesh, t):
-        return profile(mesh[0], t)
+        return 2.0 + modes(mesh, t)[0]
 
     def forcing_u(mesh, t):
-        x = mesh[0]
-        c = np.cos(pi * x) * math.exp(-t)
-        s = np.sin(pi * x) * math.exp(-t)
-        u_t = -c
-        lap_u = -pi * pi * c
-        # div(u grad v) = grad u . grad v + u lap v for the identical pair
-        adv = pi * pi * s * s + (2.0 + c) * lap_u
-        return u_t - d1 * lap_u + chi * adv - source(2.0 + c)
+        c, cos = modes(mesh, t)
+        u_t, lap_u = -c, -k2 * c
+        grad2 = 0.0  # |grad u|^2
+        for i, (ki, x) in enumerate(zip(k, mesh)):
+            s = np.sin(ki * x) * math.exp(-t) * math.prod(cos[:i] + cos[i + 1:])
+            grad2 = grad2 + ki * ki * s * s
+        # div(u grad v) = |grad u|^2 + u lap v for the identical pair
+        return u_t - d1 * lap_u + chi * (grad2 + (2.0 + c) * lap_u) - source(2.0 + c)
 
     def forcing_v(mesh, t):
-        x = mesh[0]
-        c = np.cos(pi * x) * math.exp(-t)
-        v_t = -c
-        lap_v = -pi * pi * c
-        return v_t - d2 * lap_v + beta * (2.0 + c) - alpha * (2.0 + c)
+        c = modes(mesh, t)[0]
+        return -c - d2 * (-k2 * c) + beta * (2.0 + c) - alpha * (2.0 + c)
 
-    return exact, exact, forcing_u, forcing_v
+    return exact, forcing_u, forcing_v
 
 
 @dataclass(frozen=True)
 class RefinementResult:
-    cells: Tuple[int, ...]
+    cells: Tuple[Tuple[int, ...], ...]
     errors: Tuple[float, ...]
     orders: Tuple[float, ...]
     observed_order: float
@@ -824,49 +826,45 @@ class RefinementResult:
 def refinement_study(
     params: Parameters,
     source: SourceFunction,
-    grids: Sequence[Grid],
+    grid: Grid,
     t_end: float = 0.25,
 ) -> RefinementResult:
-    """Measure the spatial convergence order on nested grids.
+    """Measure the spatial convergence order of the manufactured pair
+    (manufactured_problem) on grid and on its two refinements, 2 and 4
+    times its cells on every axis within its extents: the L2 error of u at
+    t_end on each level, the order log2 of each error ratio, and their mean.
 
-    The time step is tied to h^2 (dt = 0.2 h^2) so the first-order-in-time
-    splitting error refines at the same rate as the second-order space
-    error and does not pollute the observed order.
+    The time step is tied to h^2, dt = 0.2 min(h)^2 on each level, so the
+    first-order-in-time splitting error refines at the same rate as the
+    second-order space error and does not pollute the observed order; a dt
+    that the CFL bound cuts 10^10 times below it is a collapse.  A run that
+    does not complete, or errors that give no order, raise RuntimeError.
     """
-    if len(grids) < 3:
-        raise ValueError("need at least 3 nested grids")
-    for a, b in zip(grids, grids[1:]):
-        if a.extents != b.extents:
-            raise ValueError("grids must share extents")
-        if any(cb != 2 * ca for ca, cb in zip(a.cells, b.cells)):
-            raise ValueError(
-                "grids must be nested with doubled cells per axis "
-                f"(got {a.cells} then {b.cells})"
-            )
-    exact_u, _, forcing_u, forcing_v = manufactured_problem(params, source)
+    exact, forcing_u, forcing_v = manufactured_problem(params, source, grid)
+    levels = [replace(grid, cells=tuple(n * r for n in grid.cells)) for r in (1, 2, 4)]
     errors = []
-    for grid in grids:
-        mesh = grid.meshgrid()
-        state = State(u=exact_u(mesh, 0.0), v=exact_u(mesh, 0.0), t=0.0)
-        h = min(grid.spacing)
-        cfg = SolverConfig(
-            dt_initial=0.2 * h * h, dt_min=1e-14, t_end=t_end, snapshot_stride=10**9
-        )
+    for level in levels:
+        mesh = level.meshgrid()
+        state = State(u=exact(mesh, 0.0), v=exact(mesh, 0.0), t=0.0)
+        h = min(level.spacing)
+        dt = 0.2 * h * h
+        cfg = SolverConfig(dt_initial=dt, dt_min=1e-10 * dt, t_end=t_end,
+                           snapshot_stride=10**9)
         traj = run(
-            state, params, source, grid, cfg,
+            state, params, source, level, cfg,
             forcing_u=forcing_u, forcing_v=forcing_v,
         )
         if traj.outcome != OUTCOME_COMPLETED:
             raise RuntimeError(f"manufactured run ended with {traj.outcome}")
-        diff = traj.states[-1].u - exact_u(mesh, t_end)
-        errors.append(float(np.sqrt(np.sum(diff * diff) * grid.cell_volume)))
+        diff = traj.states[-1].u - exact(mesh, t_end)
+        errors.append(float(np.sqrt(np.sum(diff * diff) * level.cell_volume)))
     if not all(errors):
         raise RuntimeError(f"manufactured errors {errors} give no order")
     orders = tuple(
         math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)
     )
     return RefinementResult(
-        cells=tuple(g.cells[0] for g in grids),
+        cells=tuple(level.cells for level in levels),
         errors=tuple(errors),
         orders=orders,
         observed_order=float(np.mean(orders)),

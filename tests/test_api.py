@@ -204,14 +204,14 @@ def test_schema_keys_are_dataclass_fields():
         "params": Parameters, "grid": Grid, "solver": SolverConfig,
         "ic": ICSpec, "scenario": ExperimentConfig,
     }
-    renamed = {"name": "scenario", "grids": "order_grids"}
+    renamed = {"name": "scenario"}
     assert list(_SCHEMA) == list(owners)
     for section, keys in _SCHEMA.items():
         fields = [f.name for f in dataclasses.fields(owners[section])]
         if section == "scenario":
             fields = [name for name in fields if name not in ("params", "grid", "solver", "ic")]
         assert [renamed.get(key, key) for key in keys] == fields
-    assert sum(len(keys) for keys in _SCHEMA.values()) == 29
+    assert sum(len(keys) for keys in _SCHEMA.values()) == 28
 
 
 @pytest.mark.parametrize(

@@ -277,8 +277,8 @@ def test_split_step_equals_serial_step(problem):
 def test_split_step_keeps_the_manufactured_forcings():
     p = Parameters(d1=0.5, d2=1.0, chi=1.0, alpha=1.0, beta=2.0, kappa=1.0, mu=2.0, n=1)
     source = SourceFunction.standard_logistic(p.kappa, p.mu)
-    exact, _, forcing_u, forcing_v = manufactured_problem(p, source)
     grid = Grid(dim=1, extents=(1.0,), cells=(64,))
+    exact, forcing_u, forcing_v = manufactured_problem(p, source, grid)
     state = State(u=exact(grid.meshgrid(), 0.0), v=exact(grid.meshgrid(), 0.0), t=0.0)
     cfg = SolverConfig(dt_initial=1e-3, t_end=0.05)
     assert_split_equals_serial(lambda: [

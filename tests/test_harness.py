@@ -250,10 +250,9 @@ class TestRunScenario:
         assert result.report["H_monotone"] is True
 
     def test_manufactured_order_scenario(self, tmp_path):
-        text = minimal_cfg(tmp_path, name="manufactured-order", chi="0.0",
-                           kappa="0.0")
-        text = _replace_key(text, "t_end", "0.25")
-        text += "\ngrids = 16 32 64\n"
+        # refines the config's 16 cells to 32 and 64
+        text = one_d_cfg(tmp_path, name="manufactured-order", chi="0.0", kappa="0.0",
+                         t_end="0.25")
         cfg = parse_config(text)
         result = run_scenario(cfg)
         assert result.exit_code == EXIT_PASS
@@ -447,6 +446,18 @@ class TestSweep:
     def test_bad_worker_setting_is_config_error(self, setting):
         with pytest.raises(ConfigError, match="KSLAB_WORKERS"):
             _sweep_workers(setting, 4, 8)
+
+    def test_workers_capped_at_the_cpus_of_the_affinity_mask(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the sweep started a process pool")
+
+        monkeypatch.setenv("KSLAB_WORKERS", "2")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        rows = run_sweep(self._base(tmp_path), "d1", (1.0, 0.5))
+        assert len(rows) == 2 and all(not r["error"] for r in rows)
 
     def test_worker_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KSLAB_WORKERS", "2")
@@ -692,13 +703,18 @@ class TestCli:
         assert err.startswith("config error: sweep value 1e+16 inadmissible: [solver] dt_initial")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("grids", ["0 0 0", "2 4 8", "16 32 64 -1"])
-    def test_order_grids_below_4_cells_exit_3(self, tmp_path, capsys, grids):
+    def test_manufactured_order_below_a_fixed_dt_min_runs(self, tmp_path, capsys):
+        # the finest level's dt, 0.2 (5e-6 / 32)^2 = 4.9e-15, lies below 1e-14, the
+        # fixed dt_min that made the study's SolverConfig raise; its dt_min is 1e-10 dt
         text = (Path(__file__).parent / "scenarios" / "manufactured-order.cfg").read_text()
-        text = _replace_key(_replace_key(text, "output_dir", tmp_path / "out"), "grids", grids)
-        (tmp_path / "cfg.cfg").write_text(text)
-        assert cli(["simulate", "--config", str(tmp_path / "cfg.cfg")]) == EXIT_CONFIG
-        assert "config error: [scenario] grids: " in capsys.readouterr().err
+        text = _replace_key(_replace_key(text, "output_dir", tmp_path / "out"),
+                            "extents", "5e-6 5e-6")
+        (tmp_path / "cfg.cfg").write_text(_replace_key(text, "t_end", "1e-12"))
+        assert cli(["simulate", "--config", str(tmp_path / "cfg.cfg")]) in (EXIT_PASS, EXIT_AUDIT)
+        assert capsys.readouterr().err == ""
+        report = (tmp_path / "out" / "report.txt").read_text().splitlines()
+        assert [line.split(":")[0] for line in report[1:5]] == [
+            "cells", "errors", "orders", "observed_order"]
 
     @pytest.mark.parametrize(
         "key,value",
@@ -745,18 +761,16 @@ class TestCli:
              "convex-comparison requires d1 = d2 and chi > 0"),
             ("boundedness", ("scenario", "name", "small-diffusion-sweep"),
              "small-diffusion-sweep requires sweep_axis and sweep_values"),
-            ("boundedness", ("scenario", "name", "manufactured-order"),
-             "manufactured-order requires grids (cell counts)"),
-            ("manufactured-order", ("scenario", "grids", "16 32"),
-             "manufactured-order needs at least 3 grids"),
+            ("manufactured-order", ("params", "n", "1"), "params n = 1 must match grid dim = 2"),
+            ("manufactured-order", ("grid", "cells", "8 3"), "[grid]: need at least 4 cells per axis"),
             ("boundedness", ("params", "chi", "1e-300"),
              "[params]: chi = 1e-300 must be 0 or have a finite normal square, got chi*chi = 0.0"),
             ("manufactured-order", ("params", "chi", "1e308"),
              "[params]: chi = 1e+308 must be 0 or have a finite normal square, got chi*chi = inf"),
             ("decay-zero-kappa", ("grid", "extents", "1e300"),
              "[grid]: extents (1e+300,) give a spacing h whose h*h overflows"),
-            ("manufactured-order", ("grid", "extents", "1e300"),
-             "[grid]: extents (1e+300,) give a spacing h whose h*h overflows"),
+            ("manufactured-order", ("grid", "extents", "1 1e300"),
+             "[grid]: extents (1.0, 1e+300) give a spacing h whose h*h overflows"),
             ("manufactured-order", ("params", "d1", "1e17"),
              "manufactured-order: [params] d1 = 1e+17, d2 = 1.0 give theta = 0.2 max(d1, d2) "
              "= 2e+16, which must lie below 2^52"),
@@ -765,7 +779,7 @@ class TestCli:
              "steps, more than 2^24"),
             ("manufactured-order", ("solver", "t_end", "1e9"),
              "[solver] t_end = 1000000000.0 and the finest grid's dt = 0.2 h^2 = "
-             "4.8828125e-05 ask for 20480000000000.0 steps, more than 2^24"),
+             "0.0001953125 ask for 5120000000000.0 steps, more than 2^24"),
         ],
     )
     def test_each_config_rule_keeps_its_message(self, tmp_path, capsys, config, edit, message):

@@ -1,6 +1,8 @@
-"""Each scenario's canonical coarse-grid config runs end to end, each check
-of the boundedness audit and the H check of the convergence audit fail on a
-run made to break them, and a boundedness report states its hypothesis."""
+"""Each scenario's canonical coarse-grid config runs end to end, also with
+one number changed to an extreme or non-numeric value, each check of the
+boundedness audit and the H check of the convergence audit fail on a run
+made to break them, a boundedness report states its hypothesis, and the
+manufactured order holds on any extents."""
 
 import dataclasses
 import re
@@ -8,11 +10,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import kslab.solver as sv
 from kslab import harness
 from kslab.cli import cli
-from kslab.harness import EXIT_AUDIT, EXIT_PASS, SCENARIOS, parse_config, serialize_config
+from kslab.harness import (
+    EXIT_AUDIT,
+    EXIT_BLOWUP,
+    EXIT_CONFIG,
+    EXIT_PASS,
+    SCENARIOS,
+    parse_config,
+    serialize_config,
+)
 from kslab.params import SourceFunction, State
 
 CONFIGS = Path(__file__).parent / "scenarios"
@@ -35,6 +47,63 @@ def test_scenario_config_passes_end_to_end(name, tmp_path, monkeypatch, capsys):
     assert "verdict: pass" in capsys.readouterr().out
     report = (tmp_path / cfg.output_dir / "report.txt").read_text()
     assert report.endswith("verdict: pass\nexit_code: 0\n")
+
+
+def _with_key(text, section, key, value):
+    """text with key = value: its line replaced, or added under [section]."""
+    if re.search(rf"(?m)^{key} = ", text):
+        return re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+    if f"[{section}]\n" in text:
+        return text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n", 1)
+    return text + f"\n[{section}]\n{key} = {value}\n"
+
+
+NUMBER_KEYS = [  # the 16 number keys of [params], [solver] and [ic]
+    (section, key) for section in ("params", "solver", "ic")
+    for key, convert in harness._SCHEMA[section].items() if convert is harness._number
+]
+EXTREMES = ["-1", "0", "1e-300", "1e-30", "1e30", "1e154", "1e300", "5e-324", "x", "nan"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing runs
+@given(name=hs.sampled_from(SCENARIOS), key=hs.sampled_from(NUMBER_KEYS),
+       value=hs.sampled_from(EXTREMES))
+@settings(max_examples=200, deadline=None)
+def test_a_config_with_one_extreme_number_runs_or_exits(name, key, value, tmp_path_factory):
+    # no drawn value lengthens a run: t_end / dt_initial above 2^24 exits 3,
+    # and an extreme rate collapses dt or blows up
+    tmp = tmp_path_factory.mktemp("fuzz")
+    text = _with_key((CONFIGS / f"{name}.cfg").read_text(), *key, value)
+    path = tmp / "cfg.cfg"
+    path.write_text(_with_key(text, "scenario", "output_dir", tmp / "out"))
+    assert cli(["simulate", "--config", str(path)]) in (
+        EXIT_PASS, EXIT_BLOWUP, EXIT_CONFIG, EXIT_AUDIT)
+
+
+@pytest.mark.parametrize(
+    "edits,orders",
+    [
+        ({"dim": "1", "extents": "1", "cells": "16", "t_end": "0.25"}, "0.9275 0.9636"),
+        ({"dim": "1", "extents": "1.5", "cells": "16"}, None),
+        ({"extents": "1.5 0.7"}, None),
+    ],
+    ids=["unit-line", "line-1.5", "box-1.5x0.7"],
+)
+def test_manufactured_order_on_any_extents(edits, orders, tmp_path, monkeypatch):
+    # k_i = (i + 1) pi / L_i keeps the pair's closure exact on every side;
+    # on the unit line it is cos(pi x), whose orders are those of the 1-D study
+    text = (CONFIGS / "manufactured-order.cfg").read_text()
+    for key, value in edits.items():
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+    path = tmp_path / "cfg.cfg"
+    path.write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert cli(["simulate", "--config", str(path)]) == EXIT_PASS
+    report = dict(line.split(": ", 1) for line in
+                  (tmp_path / parse_config(text).output_dir / "report.txt").read_text().splitlines())
+    assert 0.8 <= float(report["observed_order"]) <= 2.0
+    if orders:
+        assert report["orders"] == orders
 
 
 BOUNDEDNESS_CHECKS = ("mass_bound_pass", "clamp_check", "z3_stable")

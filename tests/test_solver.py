@@ -512,37 +512,31 @@ class TestRun:
 
 class TestRefinement:
     def test_diffusion_only_second_order(self):
-        p = unit_params(chi=0.0, kappa=0.0, mu=1.0, n=1)
-        grids = [Grid(dim=1, extents=(1.0,), cells=(c,)) for c in (16, 32, 64)]
-        res = refinement_study(p, SourceFunction.zero(), grids)
+        p = unit_params(chi=0.0, kappa=0.0, mu=1.0, n=2)
+        grid = Grid(dim=2, extents=(1.5, 0.7), cells=(8, 8))
+        res = refinement_study(p, SourceFunction.zero(), grid, t_end=0.05)
+        assert res.cells == ((8, 8), (16, 16), (32, 32))
         assert res.observed_order == pytest.approx(2.0, abs=0.2)
 
     def test_upwind_chemotaxis_limits_order(self):
-        p = unit_params(chi=1.5, mu=2.0, n=1)
-        grids = [Grid(dim=1, extents=(1.0,), cells=(c,)) for c in (16, 32, 64)]
-        res = refinement_study(p, logistic(p), grids)
+        p = unit_params(chi=1.5, mu=2.0, n=3)
+        grid = Grid(dim=3, extents=(1.0, 1.0, 1.0), cells=(8, 8, 8))
+        res = refinement_study(p, logistic(p), grid, t_end=0.02)
         assert 0.8 <= res.observed_order <= 2.0
 
-    def test_degenerate_sequence_rejected(self):
-        p = unit_params(chi=0.0, n=1)
-        g = Grid(dim=1, extents=(1.0,), cells=(16,))
-        with pytest.raises(ValueError, match="nested"):
-            refinement_study(p, SourceFunction.zero(), [g, g, g])
-
-    def test_short_sequence_rejected(self):
-        p = unit_params(chi=0.0, n=1)
-        grids = [Grid(dim=1, extents=(1.0,), cells=(c,)) for c in (16, 32)]
-        with pytest.raises(ValueError, match="at least 3"):
-            refinement_study(p, SourceFunction.zero(), grids)
-
     def test_manufactured_pair_mirror_symmetric_at_boundaries(self):
-        # mirror symmetry across x = 0 and x = 1 makes the ghost closure
-        # exact for the manufactured profile
-        p = unit_params(chi=1.0, n=1)
-        exact_u, _, _, _ = manufactured_problem(p, logistic(p))
+        # mirror symmetry across x_i = 0 and x_i = L_i makes the ghost
+        # closure exact for the manufactured profile, on any extents
+        p = unit_params(chi=1.0, n=2)
+        grid = Grid(dim=2, extents=(1.5, 0.7), cells=(8, 8))
+        exact, _, _ = manufactured_problem(p, logistic(p), grid)
         delta = np.array([0.01, 0.03, 0.07])
-        assert np.allclose(exact_u((delta,), 0.3), exact_u((-delta,), 0.3))
-        assert np.allclose(exact_u((1 + delta,), 0.3), exact_u((1 - delta,), 0.3))
+        for axis, side in enumerate(grid.extents):
+            def at(x):  # x on this axis, 0.3 on the other
+                return tuple(x if i == axis else np.full(3, 0.3) for i in range(2))
+
+            for edge in (0.0, side):
+                assert np.allclose(exact(at(edge + delta), 0.3), exact(at(edge - delta), 0.3))
 
 
 class TestSnapshots:
